@@ -56,6 +56,7 @@ import (
 	"gokoala/internal/cliutil"
 	"gokoala/internal/dist"
 	"gokoala/internal/einsum"
+	"gokoala/internal/health"
 	"gokoala/internal/obs"
 	"gokoala/internal/pool"
 	"gokoala/internal/tensor"
@@ -175,8 +176,11 @@ func main() {
 			obs.ResetSummary()
 			dist.ResetTimelines()
 			// Fresh per-suite plan cache statistics (the few recompiles
-			// this forces are noise next to a suite's contraction count).
+			// this forces are noise next to a suite's contraction count)
+			// and always-on health and block-sparse counters.
 			einsum.ResetPlanCache()
+			einsum.ResetSymStats()
+			health.ResetCounters()
 		}
 		res := bench.SuiteResult{Suite: name, Params: params}
 		res.Flops = flopsOf(func() {

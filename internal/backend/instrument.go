@@ -4,6 +4,7 @@ import (
 	"gokoala/internal/dist"
 	"gokoala/internal/einsum"
 	"gokoala/internal/health"
+	"gokoala/internal/linalg"
 	"gokoala/internal/obs"
 	"gokoala/internal/tensor"
 )
@@ -19,11 +20,12 @@ var (
 
 // Instrumented decorates an Engine with obs spans and counters: every
 // kernel call becomes a span (einsum, backend.qrsplit, backend.truncsvd,
-// backend.orth), einsum's GEMM/move hooks feed the einsum.* counters,
-// each batched GEMM gets its own child span, and — when the inner engine
-// is a *Dist — every span is annotated with the machine-model deltas of
-// the region (modeled seconds, communication bytes), so modeled time
-// appears alongside measured time in traces and summaries.
+// backend.orth), einsum's GEMM/move hooks feed the einsum.* counters and
+// the einsum span's flops attribute, each batched GEMM gets its own
+// child span, and — when the inner engine is a *Dist — every span is
+// annotated with the machine-model deltas of the region (modeled
+// seconds, communication bytes), so modeled time appears alongside
+// measured time in traces and summaries.
 //
 // It is also where the health.Policy NaN/Inf stage guards live: every
 // kernel result is scanned at the engine boundary (under any engine, in
@@ -82,28 +84,17 @@ func (ie *Instrumented) annotate(sp *obs.Span, before dist.Stats) {
 	sp.SetInt("comm_bytes", d.Bytes)
 }
 
-// setFlops attributes the global flop-counter delta of the region to the
-// span, so offline analyzers can rank spans by flops. The counter is
-// process-global: when concurrent task spans overlap, each span's delta
-// includes flops other tasks charged meanwhile, so per-span flops are
-// attribution hints, not an exact partition (the einsum.gemm.flops
-// counter and the grid accounting stay exact).
-func setFlops(sp *obs.Span, before int64) {
-	if sp == nil {
-		return
-	}
-	if d := tensor.FlopCount() - before; d > 0 {
-		sp.SetInt("flops", d)
-	}
-}
-
-// obsHooks returns einsum hooks that count primitives and emit a child
-// span per batched GEMM. kernel is the multiply that actually runs
-// (the grid SPMD kernel for Dist, the sequential kernel for Dense).
-func obsHooks(kernel func(a, b *tensor.Dense) *tensor.Dense) einsum.Hooks {
+// obsHooks returns einsum hooks that count primitives, emit a child
+// span per batched GEMM, and sum the contraction's GEMM flops into
+// *flops — the span's flops attribute, exact for that span whatever
+// runs concurrently. kernel is the multiply that actually runs (the
+// grid SPMD kernel for Dist, the sequential kernel for Dense).
+func obsHooks(kernel func(a, b *tensor.Dense) *tensor.Dense, flops *int64) einsum.Hooks {
 	return einsum.Hooks{
 		OnGEMM: func(batch, m, n, k int) {
-			obsGEMMFlops.Add(einsum.FlopCount(batch, m, n, k))
+			f := einsum.FlopCount(batch, m, n, k)
+			*flops += f
+			obsGEMMFlops.Add(f)
 			obsGEMMCalls.Add(1)
 		},
 		OnMove: func(elements int) {
@@ -127,22 +118,22 @@ func (ie *Instrumented) Einsum(spec string, ops ...*tensor.Dense) *tensor.Dense 
 	}
 	sp := obs.Start("einsum").SetStr("spec", spec)
 	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
 	obsContracts.Add(1)
+	var flops int64
 	var hooks einsum.Hooks
 	switch e := ie.inner.(type) {
 	case *Dist:
 		// Chain the distributed engine's metering hooks with the obs
 		// observers; the GEMM child span wraps the grid SPMD kernel.
-		oh := obsHooks(e.Grid.BatchMatMul)
+		oh := obsHooks(e.Grid.BatchMatMul, &flops)
 		hooks = oh.Chain(e.Hooks())
 	case *Dense:
-		hooks = obsHooks(tensor.BatchMatMul)
+		hooks = obsHooks(tensor.BatchMatMul, &flops)
 	default:
-		// Unknown engine: time the call but let it run its own path.
+		// Unknown engine: time the call but let it run its own path
+		// (its GEMMs are not visible here, so the span carries no flops).
 		out := e.Einsum(spec, ops...)
 		ie.annotate(sp, before)
-		setFlops(sp, flopsBefore)
 		sp.End()
 		health.CheckTensor("backend.einsum", out)
 		return out
@@ -153,7 +144,7 @@ func (ie *Instrumented) Einsum(spec string, ops ...*tensor.Dense) *tensor.Dense 
 		panic("backend: " + err.Error())
 	}
 	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
+	sp.SetInt("flops", flops)
 	sp.End()
 	health.CheckTensor("backend.einsum", out)
 	return out
@@ -176,16 +167,16 @@ func (ie *Instrumented) EinsumMixed(spec string, ops ...*tensor.Dense) *tensor.D
 	}
 	sp := obs.Start("einsum").SetStr("spec", spec).SetStr("precision", "mixed-c64")
 	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
 	obsContracts.Add(1)
-	hooks := obsHooks(tensor.BatchMatMulMixed)
+	var flops int64
+	hooks := obsHooks(tensor.BatchMatMulMixed, &flops)
 	out, err := einsum.ContractWithHooks(spec, ops, hooks)
 	if err != nil {
 		sp.End()
 		panic("backend: " + err.Error())
 	}
 	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
+	sp.SetInt("flops", flops)
 	sp.End()
 	health.CheckTensor("backend.einsum", out)
 	return out
@@ -211,10 +202,8 @@ func (ie *Instrumented) QRSplit(t *tensor.Dense, leftAxes int) (*tensor.Dense, *
 	}
 	sp := obs.Start("backend.qrsplit")
 	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
 	q, r := ie.inner.QRSplit(t, leftAxes)
 	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
 	sp.End()
 	checkFactorization("backend.qrsplit", q, r, nil)
 	return q, r
@@ -228,13 +217,14 @@ func (ie *Instrumented) TruncSVD(m *tensor.Dense, rank int) (*tensor.Dense, []fl
 	}
 	sp := obs.Start("backend.truncsvd")
 	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
 	u, s, v := ie.inner.TruncSVD(m, rank)
 	// Record the rank actually kept, not the requested cap (callers pass
 	// a huge sentinel for "exact"), so summary sums stay meaningful.
+	// Every engine factors the whole matrix with a thin SVD, so the flops
+	// are the analytic count of its shape (what linalg charges).
 	sp.SetInt("rank", int64(len(s)))
+	sp.SetInt("flops", linalg.SVDFlops(m.Dim(0), m.Dim(1)))
 	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
 	sp.End()
 	checkFactorization("backend.truncsvd", u, v, s)
 	return u, s, v
@@ -248,10 +238,8 @@ func (ie *Instrumented) Orth(x *tensor.Dense) *tensor.Dense {
 	}
 	sp := obs.Start("backend.orth")
 	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
 	q := ie.inner.Orth(x)
 	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
 	sp.End()
 	health.CheckTensor("backend.orth", q)
 	return q

@@ -4,19 +4,7 @@ import (
 	"gokoala/internal/einsum"
 	"gokoala/internal/health"
 	"gokoala/internal/obs"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
-)
-
-// Obs counters for the block-sparse path. The dense-equivalent flop
-// counter is what a dense contraction of the same total-dimension
-// signature would have cost; comparing it with einsum.sym.flops is the
-// measured symmetry saving.
-var (
-	obsSymContracts  = obs.NewCounter("einsum.sym.contractions")
-	obsSymBlocks     = obs.NewCounter("einsum.sym.blocks")
-	obsSymFlops      = obs.NewCounter("einsum.sym.flops")
-	obsSymDenseFlops = obs.NewCounter("einsum.sym.dense_equiv_flops")
 )
 
 // InstrumentedSym is Instrumented for engines that also implement the
@@ -47,13 +35,13 @@ func (ie *InstrumentedSym) SymEinsum(spec string, ops ...*tensor.Sym) *tensor.Sy
 	}
 	sp := obs.Start("einsum.sym").SetStr("spec", spec)
 	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
 	obsContracts.Add(1)
 	var out *tensor.Sym
 	var cost einsum.SymCost
 	var err error
+	var flops int64
 	if _, ok := ie.inner.(*Dense); ok {
-		out, cost, err = einsum.ContractSymWithHooks(spec, ops, obsHooks(tensor.BatchMatMul))
+		out, cost, err = einsum.ContractSymWithHooks(spec, ops, obsHooks(tensor.BatchMatMul, &flops))
 	} else {
 		// Unknown sym engine: time the call but let it run its own path.
 		out = ie.symInner.SymEinsum(spec, ops...)
@@ -62,18 +50,15 @@ func (ie *InstrumentedSym) SymEinsum(spec string, ops ...*tensor.Sym) *tensor.Sy
 		sp.End()
 		panic("backend: " + err.Error())
 	}
-	obsSymContracts.Add(1)
-	obsSymBlocks.Add(cost.Blocks)
-	obsSymFlops.Add(cost.Flops)
-	obsSymDenseFlops.Add(cost.DenseFlops)
+	// The block, flop and dense-equivalent tallies are counted once, by
+	// einsum's always-on atomics (einsum.SymStats); the span carries this
+	// contraction's share.
 	sp.SetInt("blocks", cost.Blocks)
 	sp.SetInt("sectors", int64(cost.MaxSectors))
+	sp.SetInt("flops", flops)
 	sp.SetInt("dense_equiv_flops", cost.DenseFlops)
-	if telemetry.Active() {
-		telemetry.Observe("einsum.sym.sectors", float64(cost.MaxSectors))
-	}
+	obs.Observe("einsum.sym.sectors", float64(cost.MaxSectors))
 	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
 	sp.End()
 	checkSymTensor("backend.symeinsum", out)
 	return out
@@ -88,11 +73,9 @@ func (ie *InstrumentedSym) SymQRSplit(t *tensor.Sym, leftAxes int) (*tensor.Sym,
 	}
 	sp := obs.Start("backend.symqrsplit")
 	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
 	q, r := ie.symInner.SymQRSplit(t, leftAxes)
 	sp.SetInt("sectors", int64(q.Leg(q.Rank()-1).NumSectors()))
 	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
 	sp.End()
 	checkSymTensor("backend.symqrsplit", q)
 	checkSymTensor("backend.symqrsplit", r)
@@ -109,12 +92,10 @@ func (ie *InstrumentedSym) SymSVDSplit(t *tensor.Sym, leftAxes, rank int) (*tens
 	}
 	sp := obs.Start("backend.symsvd")
 	before := ie.statsBefore()
-	flopsBefore := tensor.FlopCount()
 	u, s, vh := ie.symInner.SymSVDSplit(t, leftAxes, rank)
 	sp.SetInt("rank", int64(len(s)))
 	sp.SetInt("sectors", int64(u.Leg(u.Rank()-1).NumSectors()))
 	ie.annotate(sp, before)
-	setFlops(sp, flopsBefore)
 	sp.End()
 	checkSymTensor("backend.symsvd", u)
 	checkSymTensor("backend.symsvd", vh)

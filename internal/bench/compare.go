@@ -65,14 +65,9 @@ func CompareSuite(base, got SuiteResult) []Violation {
 			})
 		}
 	}
-	// The whole-run flop counter is deterministic for the evolution
-	// suites, but ITE-with-measurement suites charge the expectation
-	// cache's scheduling-dependent double-computes to it, so for the sym
-	// suite it is wall-clock-like: reported, never gated. Its
-	// deterministic contraction-level counters gate below instead.
-	if base.Sym == nil && got.Sym == nil {
-		sym("flops", float64(base.Flops), float64(got.Flops), relTolFlops)
-	}
+	// Every kernel charges the whole-run flop counter once, by shape, so
+	// it is deterministic for every suite at any worker count.
+	sym("flops", float64(base.Flops), float64(got.Flops), relTolFlops)
 	sym("comm_bytes", float64(base.CommBytes), float64(got.CommBytes), relTolComm)
 	sym("modeled_seconds", base.ModeledSeconds, got.ModeledSeconds, relTolModeled)
 	sym("task_count", float64(base.TaskCount), float64(got.TaskCount), relTolTasks)

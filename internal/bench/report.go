@@ -8,6 +8,7 @@ import (
 
 	"gokoala/internal/dist"
 	"gokoala/internal/einsum"
+	"gokoala/internal/health"
 	"gokoala/internal/obs"
 	"gokoala/internal/pool"
 	"gokoala/internal/tensor"
@@ -128,8 +129,9 @@ type ScalingPoint struct {
 }
 
 // CollectSuiteMetrics fills the obs-derived fields of a SuiteResult from
-// the current counter registry. Call it after the suite ran and before
-// obs.ResetCounters.
+// the current counter registry and the always-on plan-cache and health
+// counters. Call it after the suite ran and before the per-suite resets
+// (obs.ResetCounters, einsum.ResetPlanCache, health.ResetCounters).
 func CollectSuiteMetrics(res *SuiteResult) {
 	res.ModeledCommSeconds = obs.MetricValueOf("dist.modeled.comm_seconds")
 	res.ModeledCompSeconds = obs.MetricValueOf("dist.modeled.comp_seconds")
@@ -160,11 +162,11 @@ func CollectSuiteMetrics(res *SuiteResult) {
 		res.Kernel.GFlops = 8 * float64(res.Flops) / res.WallSeconds / 1e9
 	}
 	res.Health = HealthCounters{
-		NaNDetected:        int64(obs.MetricValueOf("health.nan_detected")),
-		SVDFallbacks:       int64(obs.MetricValueOf("health.svd_fallbacks")),
-		GramFallbacks:      int64(obs.MetricValueOf("health.gram_fallbacks")),
-		Nonconverged:       int64(obs.MetricValueOf("health.nonconverged")),
-		CheckpointFailures: int64(obs.MetricValueOf("health.checkpoint_failures")),
+		NaNDetected:        health.NaNDetected(),
+		SVDFallbacks:       health.SVDFallbacks(),
+		GramFallbacks:      health.GramFallbacks(),
+		Nonconverged:       health.Nonconverged(),
+		CheckpointFailures: health.CheckpointFailures(),
 	}
 	if rs, ok := benchTransport.(dist.RankStatser); ok {
 		res.Ranks = rs.RankStats()

@@ -106,16 +106,12 @@ func ListenFlag() *string {
 // StartTelemetry starts the live telemetry plane when addr is non-empty
 // and returns the server (nil when addr is empty). component and labels
 // become the run info exposed as koala_run_info and the SSE hello
-// event. Because the /metrics exposition renders the obs counter
-// registry, obs collection is enabled (with zero sinks) when no
-// -trace/-metrics flag already did. The bound address is printed so
+// event. telemetry.Serve enables obs collection (with zero sinks) when
+// no -trace/-metrics flag already did. The bound address is printed so
 // wrappers can discover a :0 port.
 func StartTelemetry(addr, component string, labels map[string]string) (*telemetry.Server, error) {
 	if addr == "" {
 		return nil, nil
-	}
-	if !obs.Enabled() {
-		obs.Enable()
 	}
 	srv, err := telemetry.Serve(addr)
 	if err != nil {

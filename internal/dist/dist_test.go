@@ -139,14 +139,10 @@ func TestSingleRankCollectivesFree(t *testing.T) {
 
 func TestSequentialMetering(t *testing.T) {
 	g := NewGrid(Stampede2(4))
-	g.Sequential(func() {
-		a := tensor.New(10, 10)
-		b := tensor.New(10, 10)
-		tensor.MatMul(a, b)
-	})
+	g.ChargeFlops(1000, 1)
 	s := g.Snapshot()
-	if s.SequentialFlops != 1000 {
-		t.Fatalf("sequential flops = %d, want 1000", s.SequentialFlops)
+	if s.SequentialFlops != 1000 || s.ParallelFlops != 0 {
+		t.Fatalf("sequential/parallel flops = %d/%d, want 1000/0", s.SequentialFlops, s.ParallelFlops)
 	}
 	// Sequential work is not divided by rank count. The accumulator holds
 	// integer picoseconds, so allow that quantization (far below any
@@ -157,16 +153,18 @@ func TestSequentialMetering(t *testing.T) {
 	}
 }
 
-func TestPartialParallelClampsEff(t *testing.T) {
-	g := NewGrid(Stampede2(4))
-	g.PartialParallel(100, func() {
-		tensor.MatMul(tensor.New(10, 10), tensor.New(10, 10))
-	})
-	s := g.Snapshot()
-	// eff clamps to 4 ranks; tolerance covers picosecond quantization.
-	want := g.Machine.Gamma * 1000 / 4
-	if diff := s.CompSeconds - want; diff > 1e-12 || diff < -1e-12 {
-		t.Fatalf("comp seconds = %g, want %g", s.CompSeconds, want)
+func TestChargeFlopsClampsEff(t *testing.T) {
+	for _, tc := range []struct {
+		eff, div int
+	}{{100, 4}, {0, 1}, {-3, 1}} {
+		g := NewGrid(Stampede2(4))
+		g.ChargeFlops(1000, tc.eff)
+		// eff clamps to [1, 4] ranks; tolerance covers picosecond
+		// quantization.
+		want := g.Machine.Gamma * 1000 / float64(tc.div)
+		if diff := g.Snapshot().CompSeconds - want; diff > 1e-12 || diff < -1e-12 {
+			t.Fatalf("eff %d: comp seconds = %g, want %g", tc.eff, g.Snapshot().CompSeconds, want)
+		}
 	}
 }
 

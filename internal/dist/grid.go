@@ -18,10 +18,8 @@ import (
 // workers concurrently: time accumulates in integer picoseconds under the
 // mutex, so the totals are independent of the interleaving (integer
 // addition commutes; float summation would make the stats depend on
-// worker count). The exceptions are Sequential and PartialParallel, which
-// attribute a *measured* global flop delta and therefore still require a
-// single driving goroutine — concurrent callers should charge analytic
-// counts through ChargeFlops instead.
+// worker count). Computation is charged by analytic count through
+// ChargeFlops, never by measuring a delta of the global flop counter.
 type Grid struct {
 	Machine Machine
 
@@ -310,11 +308,14 @@ func log2msgs(p int) int64 {
 func (g *Grid) ParallelFlops(n int64) { g.ChargeFlops(n, g.Machine.Ranks) }
 
 // ChargeFlops accounts an analytic flop count n at an effective
-// parallelism of eff ranks (clamped to [1, Ranks]). Unlike Sequential and
-// PartialParallel it never reads the measured global flop counter, so it
-// is safe — and exact — when concurrent task-group workers drive the same
-// grid: linalg exposes the analytic counts its kernels charge (SVDFlops,
-// QRFlops, EigFlops) precisely so callers can meter this way.
+// parallelism of eff ranks (clamped to [1, Ranks]): eff 1 is single-rank
+// work (small local matrices in the Gram-method path, paper Algorithm 5
+// steps 3-8), and an eff below Ranks models kernels like ScaLAPACK SVD
+// whose scalability saturates well below the GEMM-style rank count. It
+// never reads the global flop counter, so it is exact when concurrent
+// task-group workers drive the same grid: linalg exposes the analytic
+// counts its kernels charge (SVDFlops, QRFlops, EigFlops) so callers
+// meter this way.
 func (g *Grid) ChargeFlops(n int64, eff int) {
 	if eff < 1 {
 		eff = 1
@@ -334,32 +335,6 @@ func (g *Grid) ChargeFlops(n int64, eff int) {
 	g.rankComp(p, eff)
 	observeComp(s)
 	g.mu.Unlock()
-}
-
-// Sequential runs f, measuring the flops it adds to the global tensor
-// counter, and accounts them as single-rank work (small local matrices in
-// the Gram-method path, paper Algorithm 5 steps 3-8). The measured delta
-// includes any flops charged concurrently by other goroutines, so this
-// must only be used from a single driving goroutine; concurrent metering
-// goes through ChargeFlops.
-func (g *Grid) Sequential(f func()) { g.PartialParallel(1, f) }
-
-// PartialParallel runs f and accounts its measured flops at an effective
-// parallelism of eff ranks. This models kernels like ScaLAPACK SVD whose
-// scalability saturates well below the GEMM-style rank count. Like
-// Sequential it attributes a global measured delta and is not safe for
-// concurrent drivers; prefer ChargeFlops with an analytic count.
-func (g *Grid) PartialParallel(eff int, f func()) {
-	if eff < 1 {
-		eff = 1
-	}
-	if eff > g.Machine.Ranks {
-		eff = g.Machine.Ranks
-	}
-	before := tensor.FlopCount()
-	f()
-	delta := tensor.FlopCount() - before
-	g.ChargeFlops(delta, eff)
 }
 
 const bytesPerElem = 16 // complex128

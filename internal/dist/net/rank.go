@@ -165,7 +165,7 @@ func (ro *rankObs) handleSignals() {
 }
 
 // record folds one served collective into the pong-reported stats and
-// the local obs/telemetry planes.
+// the local obs registry (which the rank's /metrics serves).
 func (ro *rankObs) record(op dist.Op, secs float64) {
 	ro.mu.Lock()
 	if ro.stats.Ops == nil {
@@ -177,8 +177,6 @@ func (ro *rankObs) record(op dist.Op, secs float64) {
 	ro.stats.Ops[op.String()] = m
 	ro.mu.Unlock()
 	dist.RecordMeasured(op, secs)
-	telemetry.Observe("dist_measured_comm_seconds", secs,
-		telemetry.Label{Key: "op", Value: op.String()})
 }
 
 // pongBody renders the reply to a sync ping: receive/send timestamps

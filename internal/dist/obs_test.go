@@ -109,7 +109,7 @@ func TestObsBridgeConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				g.AllToAll(2048)
 				g.ParallelFlops(64)
-				g.Sequential(func() { tensor.AddFlops(8) })
+				g.ChargeFlops(8, 1)
 			}
 		}()
 	}

@@ -11,7 +11,7 @@ import (
 // of the α-β-γ time — compute for the ranks a kernel actually uses,
 // message latency and byte-transfer time for every participant of a
 // collective, and imbalance wait for the ranks a partially-parallel
-// kernel leaves idle (the Sequential/PartialParallel path of the Gram
+// kernel leaves idle (ChargeFlops below the rank count: the Gram
 // method, where rank 0 factorizes while the rest of the machine waits).
 // This is the per-rank compute/communication breakdown the paper's
 // scaling discussion (Figures 8-10, Table II) attributes cliffs with.

@@ -22,17 +22,24 @@ import (
 // spec streams.
 const DefaultPlanCacheSize = 256
 
-// Cache traffic observability. The obs counters appear in metrics dumps
-// when observability is enabled; the atomics below back PlanCacheStats
-// unconditionally so benchmarks can assert hit rates without enabling
-// the full metrics layer.
-var (
-	obsPlanHits      = obs.NewCounter("einsum.plan.hits")
-	obsPlanMisses    = obs.NewCounter("einsum.plan.misses")
-	obsPlanEvictions = obs.NewCounter("einsum.plan.evictions")
+// Cache traffic observability: always-on atomics back PlanCacheStats,
+// so benchmarks can assert hit rates without enabling the full metrics
+// layer, and the obs registry reads the same atomics (CounterFunc) for
+// -metrics output and /metrics.
+var planHits, planMisses, planEvictions atomic.Int64
 
-	planHits, planMisses, planEvictions atomic.Int64
-)
+func init() {
+	obs.CounterFunc("einsum.plan.hits", planHits.Load)
+	obs.CounterFunc("einsum.plan.misses", planMisses.Load)
+	obs.CounterFunc("einsum.plan.evictions", planEvictions.Load)
+	obs.GaugeFunc("einsum.plan_hit_ratio", func() float64 {
+		h, m := planHits.Load(), planMisses.Load()
+		if h+m == 0 {
+			return 0
+		}
+		return float64(h) / float64(h+m)
+	})
+}
 
 type planEntry struct {
 	key  string
@@ -85,12 +92,10 @@ func cachedPlan(kind byte, spec string, ops []*tensor.Dense) (*Plan, error) {
 		p := el.Value.(*planEntry).plan
 		planMu.Unlock()
 		planHits.Add(1)
-		obsPlanHits.Add(1)
 		return p, nil
 	}
 	planMu.Unlock()
 	planMisses.Add(1)
-	obsPlanMisses.Add(1)
 
 	shapes := make([][]int, len(ops))
 	for i, op := range ops {
@@ -112,7 +117,6 @@ func cachedPlan(kind byte, spec string, ops []*tensor.Dense) (*Plan, error) {
 			planLRU.Remove(back)
 			delete(planIndex, back.Value.(*planEntry).key)
 			planEvictions.Add(1)
-			obsPlanEvictions.Add(1)
 		}
 	}
 	planMu.Unlock()
@@ -150,7 +154,6 @@ func SetPlanCacheSize(n int) {
 		planLRU.Remove(back)
 		delete(planIndex, back.Value.(*planEntry).key)
 		planEvictions.Add(1)
-		obsPlanEvictions.Add(1)
 	}
 	planMu.Unlock()
 }

@@ -24,6 +24,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"gokoala/internal/obs"
 	"gokoala/internal/tensor"
 )
 
@@ -47,14 +48,29 @@ type SymCost struct {
 
 // Process-wide symmetric-contraction statistics. Like the plan-cache
 // atomics these are maintained unconditionally (they are a handful of
-// atomic adds per contraction, not per block), so the /metrics
-// flops-saved ratio works without enabling the obs layer.
+// atomic adds per contraction, not per block) and are the only counters
+// of their facts: the obs registry reads them for -metrics output and
+// /metrics, together with the flops-saved ratio derived from them.
 var (
 	symContractions atomic.Int64
 	symBlockGEMMs   atomic.Int64
 	symFlops        atomic.Int64
 	symDenseFlops   atomic.Int64
 )
+
+func init() {
+	obs.CounterFunc("einsum.sym.contractions", symContractions.Load)
+	obs.CounterFunc("einsum.sym.blocks", symBlockGEMMs.Load)
+	obs.CounterFunc("einsum.sym.flops", symFlops.Load)
+	obs.CounterFunc("einsum.sym.dense_equiv_flops", symDenseFlops.Load)
+	obs.GaugeFunc("einsum.flops_saved_ratio", func() float64 {
+		flops, dense := symFlops.Load(), symDenseFlops.Load()
+		if dense == 0 {
+			return 0
+		}
+		return float64(dense-flops) / float64(dense)
+	})
+}
 
 // SymStats returns the cumulative block-sparse contraction counters:
 // contractions, executed block pairs, executed GEMM flops, and the

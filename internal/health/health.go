@@ -13,9 +13,9 @@
 //
 //   - PolicyOff: guards compile to a single atomic load (production hot
 //     path, trusted inputs).
-//   - PolicyCount: detections increment counters (both package-local
-//     atomics, always available, and obs counters visible in -metrics
-//     output) and execution continues.
+//   - PolicyCount: detections increment counters (always-on
+//     package-local atomics, enumerated by the obs registry so they
+//     appear in -metrics output and /metrics) and execution continues.
 //   - PolicyError: detections additionally panic with *NumError, failing
 //     fast so a checkpointed run can be killed and resumed rather than
 //     burning hours on garbage.
@@ -103,9 +103,10 @@ func (e *NumError) Error() string {
 
 // --- counters ---
 //
-// Counts are kept twice: package-local atomics that are always on (so
-// fallback decisions are observable without enabling tracing) and obs
-// counters that surface in -metrics / summary output when obs is enabled.
+// Each count is one always-on package-local atomic, so fallback
+// decisions are observable without enabling tracing. The obs registry
+// reads them through CounterFunc (health.nan_detected, ...), which puts
+// them in -metrics output and /metrics without a second counter.
 
 var (
 	cntNaN          atomic.Int64
@@ -114,14 +115,16 @@ var (
 	cntNonconverged atomic.Int64
 	cntCkptFailure  atomic.Int64
 	cntSymFallback  atomic.Int64
-
-	obsNaN          = obs.NewCounter("health.nan_detected")
-	obsSVDFallback  = obs.NewCounter("health.svd_fallbacks")
-	obsGramFallback = obs.NewCounter("health.gram_fallbacks")
-	obsNonconverged = obs.NewCounter("health.nonconverged")
-	obsCkptFailure  = obs.NewCounter("health.checkpoint_failures")
-	obsSymFallback  = obs.NewCounter("health.sym_fallbacks")
 )
+
+func init() {
+	obs.CounterFunc("health.nan_detected", NaNDetected)
+	obs.CounterFunc("health.svd_fallbacks", SVDFallbacks)
+	obs.CounterFunc("health.gram_fallbacks", GramFallbacks)
+	obs.CounterFunc("health.nonconverged", Nonconverged)
+	obs.CounterFunc("health.checkpoint_failures", CheckpointFailures)
+	obs.CounterFunc("health.sym_fallbacks", SymFallbacks)
+}
 
 // NaNDetected returns how many guard scans found a non-finite value.
 func NaNDetected() int64 { return cntNaN.Load() }
@@ -156,26 +159,22 @@ func ResetCounters() {
 // CountSVDFallback records one randomized-SVD → exact-SVD degradation.
 func CountSVDFallback() {
 	cntSVDFallback.Add(1)
-	obsSVDFallback.Add(1)
 }
 
 // CountGramFallback records one Gram → Householder-QR degradation.
 func CountGramFallback() {
 	cntGramFallback.Add(1)
-	obsGramFallback.Add(1)
 }
 
 // CountNonconverged records an iterative solve that exhausted its budget.
 func CountNonconverged(stage string) {
 	_ = stage // kept for call-site documentation; counters are global
 	cntNonconverged.Add(1)
-	obsNonconverged.Add(1)
 }
 
 // CountCheckpointFailure records a failed (but survived) checkpoint write.
 func CountCheckpointFailure() {
 	cntCkptFailure.Add(1)
-	obsCkptFailure.Add(1)
 }
 
 // SymFallbacks returns how many symmetric evolutions embedded to dense
@@ -185,7 +184,6 @@ func SymFallbacks() int64 { return cntSymFallback.Load() }
 // CountSymFallback records one block-sparse → dense evolution fallback.
 func CountSymFallback() {
 	cntSymFallback.Add(1)
-	obsSymFallback.Add(1)
 }
 
 // --- NaN/Inf guards ---
@@ -206,7 +204,6 @@ func ScanSlice(d []complex128) int {
 
 func detect(stage string, index int) {
 	cntNaN.Add(1)
-	obsNaN.Add(1)
 	if CurrentPolicy() == PolicyError {
 		panic(&NumError{Stage: stage, Index: index})
 	}

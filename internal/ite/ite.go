@@ -11,6 +11,7 @@ import (
 	"gokoala/internal/checkpoint"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/health"
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/telemetry"
@@ -106,7 +107,7 @@ func stepSeed(seed int64, step int) int64 {
 // checkpointed state). Starting from the |+...+> product state (see
 // PlusState) guarantees overlap with the ground sector of the benchmark
 // Hamiltonians.
-func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
+func Evolve(state *peps.PEPS, ham *quantum.Observable, opts Options) Result {
 	if opts.MeasureEvery <= 0 {
 		opts.MeasureEvery = 1
 	}
@@ -132,9 +133,9 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 	}
 	var gates []quantum.TrotterGate
 	if opts.SecondOrder {
-		gates = obs.TrotterGatesSecondOrder(complex(-opts.Tau, 0))
+		gates = ham.TrotterGatesSecondOrder(complex(-opts.Tau, 0))
 	} else {
-		gates = obs.TrotterGates(complex(-opts.Tau, 0))
+		gates = ham.TrotterGates(complex(-opts.Tau, 0))
 	}
 	upd := peps.UpdateOptions{
 		Rank:      opts.EvolutionRank,
@@ -164,7 +165,7 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 			// no longer depends on how many measurements ran before, so a
 			// resumed run reproduces it exactly.
 			st := einsumsvd.Reseed(strategy, stepSeed(opts.Seed, step))
-			e := measured.EnergyPerSite(obs, peps.ExpectationOptions{
+			e := measured.EnergyPerSite(ham, peps.ExpectationOptions{
 				M:        opts.ContractionRank,
 				Strategy: st,
 				UseCache: opts.UseCache,
@@ -174,7 +175,7 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 			res.MeasuredAt = append(res.MeasuredAt, step)
 			measuredNow = true
 		}
-		if telemetry.Active() {
+		if obs.Enabled() {
 			fields := map[string]float64{
 				"step":        float64(step),
 				"steps_total": float64(opts.Steps),
@@ -183,9 +184,9 @@ func Evolve(state *peps.PEPS, obs *quantum.Observable, opts Options) Result {
 			if measuredNow {
 				e := res.Energies[len(res.Energies)-1]
 				fields["energy_per_site"] = e
-				telemetry.Observe("ite.energy_per_site", e)
+				obs.Observe("ite.energy_per_site", e)
 			}
-			telemetry.Observe("ite.step", float64(step))
+			obs.Observe("ite.step", float64(step))
 			telemetry.Publish("ite.step", step, fields)
 		}
 		if opts.CheckpointPath != "" && (step%opts.CheckpointEvery == 0 || step == opts.Steps || stopping) {

@@ -6,6 +6,7 @@ import (
 	"gokoala/internal/checkpoint"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/health"
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/telemetry"
@@ -24,7 +25,7 @@ import (
 // comparable with a dense run of the same schedule. The evolution is
 // strictly sequential over gates and therefore bit-identical at any
 // worker count.
-func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Result {
+func EvolveSym(state *peps.SymPEPS, ham *quantum.Observable, opts Options) Result {
 	if opts.MeasureEvery <= 0 {
 		opts.MeasureEvery = 1
 	}
@@ -41,7 +42,7 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 		if cp.SymState == nil {
 			// The interrupted run had fallen back to dense (or predates the
 			// symmetric format): resume it on the dense path.
-			res := Evolve(nil, obs, opts)
+			res := Evolve(nil, ham, opts)
 			res.FellBack = true
 			return res
 		}
@@ -53,9 +54,9 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 	}
 	var gates []quantum.TrotterGate
 	if opts.SecondOrder {
-		gates = obs.TrotterGatesSecondOrder(complex(-opts.Tau, 0))
+		gates = ham.TrotterGatesSecondOrder(complex(-opts.Tau, 0))
 	} else {
-		gates = obs.TrotterGates(complex(-opts.Tau, 0))
+		gates = ham.TrotterGates(complex(-opts.Tau, 0))
 	}
 	symGates, ok := peps.SymTrotterGates(gates, state.Mod())
 	if !ok {
@@ -63,7 +64,7 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 		// with unchanged options (including checkpointing, which then
 		// writes ordinary dense records).
 		health.CountSymFallback()
-		r := Evolve(state.ToDense(), obs, opts)
+		r := Evolve(state.ToDense(), ham, opts)
 		r.FellBack = true
 		return r
 	}
@@ -78,7 +79,7 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 		measuredNow := false
 		if step%opts.MeasureEvery == 0 || step == opts.Steps || stopping {
 			st := einsumsvd.Reseed(strategy, stepSeed(opts.Seed, step))
-			e := state.ToDense().EnergyPerSite(obs, peps.ExpectationOptions{
+			e := state.ToDense().EnergyPerSite(ham, peps.ExpectationOptions{
 				M:        opts.ContractionRank,
 				Strategy: st,
 				UseCache: opts.UseCache,
@@ -88,7 +89,7 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 			res.MeasuredAt = append(res.MeasuredAt, step)
 			measuredNow = true
 		}
-		if telemetry.Active() {
+		if obs.Enabled() {
 			stored := state.StateBytes()
 			denseEquiv := state.DenseEquivBytes()
 			fields := map[string]float64{
@@ -102,11 +103,11 @@ func EvolveSym(state *peps.SymPEPS, obs *quantum.Observable, opts Options) Resul
 			if measuredNow {
 				e := res.Energies[len(res.Energies)-1]
 				fields["energy_per_site"] = e
-				telemetry.Observe("ite.energy_per_site", e)
+				obs.Observe("ite.energy_per_site", e)
 			}
-			telemetry.Observe("ite.step", float64(step))
-			telemetry.Observe("peps.sym.state_bytes", float64(stored))
-			telemetry.Observe("peps.sym.dense_equiv_bytes", float64(denseEquiv))
+			obs.Observe("ite.step", float64(step))
+			obs.Observe("peps.sym.state_bytes", float64(stored))
+			obs.Observe("peps.sym.dense_equiv_bytes", float64(denseEquiv))
 			telemetry.Publish("ite.step", step, fields)
 		}
 		if opts.CheckpointPath != "" && (step%opts.CheckpointEvery == 0 || step == opts.Steps || stopping) {

@@ -5,6 +5,7 @@ import (
 
 	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/telemetry"
@@ -13,16 +14,16 @@ import (
 func evolveWithTelemetry(t *testing.T, steps int, stop func() bool) ([]telemetry.Event, Result) {
 	t.Helper()
 	telemetry.Reset()
-	telemetry.SetActive(true)
+	obs.Enable()
 	t.Cleanup(func() {
-		telemetry.SetActive(false)
+		obs.Disable()
 		telemetry.Reset()
 	})
 
 	rows, cols := 2, 2
-	obs := quantum.TransverseFieldIsing(rows, cols, -1, -3.5)
+	ham := quantum.TransverseFieldIsing(rows, cols, -1, -3.5)
 	state := PlusState(peps.ComputationalZeros(backend.NewDense(), rows, cols))
-	res := Evolve(state, obs, Options{
+	res := Evolve(state, ham, Options{
 		Tau:             0.05,
 		Steps:           steps,
 		EvolutionRank:   2,
@@ -66,8 +67,8 @@ func TestITEPublishesStepEvents(t *testing.T) {
 		t.Fatal("no step event carried energy_per_site")
 	}
 
-	series, _ := telemetry.Snapshot()
-	names := map[string]telemetry.SeriesSnapshot{}
+	series, _ := obs.SnapshotSeries()
+	names := map[string]obs.SeriesSnapshot{}
 	for _, s := range series {
 		names[s.Name] = s
 	}

@@ -7,7 +7,7 @@ import (
 	"sort"
 
 	"gokoala/internal/health"
-	"gokoala/internal/telemetry"
+	"gokoala/internal/obs"
 	"gokoala/internal/tensor"
 )
 
@@ -44,15 +44,16 @@ func EigHReport(a *tensor.Dense) (w []float64, v *tensor.Dense, rep Report) {
 	if a.Rank() != 2 || a.Dim(0) != a.Dim(1) {
 		panic(fmt.Sprintf("linalg: EigH requires a square matrix, got %v", a.Shape()))
 	}
-	// Charge the global flop counter with the standard HEEV-style count
-	// rather than the cyclic Jacobi iteration's larger raw arithmetic;
-	// see svdFlops.
-	chargeAnalytic(func() { w, v, rep = eigHJacobi(a) }, EigFlops(a.Dim(0)))
+	// Charge the global flop counter once with the standard HEEV-style
+	// count rather than the cyclic Jacobi iteration's larger raw
+	// arithmetic; see svdFlops.
+	tensor.AddFlops(EigFlops(a.Dim(0)))
+	w, v, rep = eigHJacobi(a)
 	if !rep.Converged {
 		health.CountNonconverged("linalg.eigh")
 	}
-	telemetry.ObserveHist("solver.sweeps", telemetry.Pow2Bounds, float64(rep.Sweeps),
-		telemetry.Label{Key: "solver", Value: "jacobi_eigh"})
+	obs.ObserveHist("solver.sweeps", obs.Pow2Bounds, float64(rep.Sweeps),
+		obs.Label{Key: "solver", Value: "jacobi_eigh"})
 	return w, v, rep
 }
 
@@ -160,7 +161,6 @@ func applyJacobi(m, v []complex128, n, p, q int, c, s float64, phase complex128)
 	cc := complex(c, 0)
 	sp := complex(s, 0) * phase
 	spc := cmplx.Conj(sp)
-	tensor.AddFlops(6 * int64(n))
 	// Columns: m[:, p], m[:, q] <- (m G)
 	for i := 0; i < n; i++ {
 		mip, miq := m[i*n+p], m[i*n+q]

@@ -23,7 +23,7 @@ import (
 // of the k = min(m, n) reflectors is applied once to the trailing
 // submatrix (2 (m-j) n) and once while accumulating thin Q (2 (m-j) k),
 // summing to 2 (n+k) (m k - k(k-1)/2). Exposed so cost models can charge
-// a factorization without racing on the measured global counter.
+// a factorization by shape.
 func QRFlops(m, n int) int64 {
 	k := int64(min(m, n))
 	s := int64(m)*k - k*(k-1)/2
@@ -39,6 +39,9 @@ func QR(a *tensor.Dense) (q, r *tensor.Dense) {
 	}
 	m, n := a.Dim(0), a.Dim(1)
 	k := min(m, n)
+	// Charged once by shape: a reflector skipped on a numerically zero
+	// column still counts, so the charge never depends on the data.
+	tensor.AddFlops(QRFlops(m, n))
 	// Work on a copy of A; reflectors stored as columns of vs.
 	w := a.Clone()
 	wd := w.Data()
@@ -126,7 +129,6 @@ func QR(a *tensor.Dense) (q, r *tensor.Dense) {
 // m-j. a is row-major m-by-n.
 func applyReflectorLeft(a []complex128, m, n, j int, v []complex128, tau float64) {
 	rows := m - j
-	tensor.AddFlops(2 * int64(rows) * int64(n))
 	// wvec = v* A[j:, :]  (length n)
 	wvec := make([]complex128, n)
 	for i := 0; i < rows; i++ {

@@ -10,16 +10,7 @@ import (
 	"gokoala/internal/health"
 	"gokoala/internal/obs"
 	"gokoala/internal/pool"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
-)
-
-// Truncation observability: every truncated SVD records how much
-// spectral weight it discarded (the per-truncation accuracy knob the
-// paper's m sweeps trade against time) and how many truncations ran.
-var (
-	obsSVDCalls      = obs.NewCounter("svd.truncations")
-	obsSVDTruncError = obs.NewGauge("svd.trunc_error")
 )
 
 // svdFlops is the standard LAPACK-equivalent complex-flop estimate for a
@@ -28,24 +19,17 @@ var (
 // raw arithmetic than a production bidiagonalization kernel; charging the
 // global counter with the standard count keeps cost models and empirical
 // complexity fits representative of a production implementation rather
-// than of Jacobi's constant factor.
+// than of Jacobi's constant factor. SVDReport charges it once per call;
+// the Jacobi sweeps themselves charge nothing, so the count is a pure
+// function of the shape at any worker count.
 func svdFlops(m, n int) int64 {
 	k := int64(min(m, n))
 	return 14 * int64(m) * int64(n) * k / 2
 }
 
 // SVDFlops exposes the analytic thin-SVD flop count charged by SVD, so
-// cost models (backend.Dist) can account a factorization without racing
-// on the measured global counter.
+// cost models (backend.Dist) can account a factorization by shape.
 func SVDFlops(m, n int) int64 { return svdFlops(m, n) }
-
-// chargeAnalytic replaces the flops f added to the global counter with
-// the given analytic count.
-func chargeAnalytic(f func(), analytic int64) {
-	before := tensor.FlopCount()
-	f()
-	tensor.AddFlops(analytic - (tensor.FlopCount() - before))
-}
 
 // SVD computes the thin singular value decomposition A = U diag(s) V* of
 // an m-by-n matrix using the one-sided (Hestenes) Jacobi method. U is
@@ -67,12 +51,13 @@ func SVDReport(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 	if a.Rank() != 2 {
 		panic(fmt.Sprintf("linalg: SVD requires a matrix, got rank %d", a.Rank()))
 	}
-	chargeAnalytic(func() { u, s, v, rep = svdJacobi(a) }, svdFlops(a.Dim(0), a.Dim(1)))
+	tensor.AddFlops(svdFlops(a.Dim(0), a.Dim(1)))
+	u, s, v, rep = svdJacobi(a)
 	if !rep.Converged {
 		health.CountNonconverged("linalg.svd")
 	}
-	telemetry.ObserveHist("solver.sweeps", telemetry.Pow2Bounds, float64(rep.Sweeps),
-		telemetry.Label{Key: "solver", Value: "jacobi_svd"})
+	obs.ObserveHist("solver.sweeps", obs.Pow2Bounds, float64(rep.Sweeps),
+		obs.Label{Key: "solver", Value: "jacobi_svd"})
 	return u, s, v, rep
 }
 
@@ -156,8 +141,8 @@ func svdJacobi(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 					}
 					rotated.Store(true)
 					c, sn, phase := jacobiRotation(alpha, beta, gamma)
-					rotateCols(cols[p], cols[q], c, sn, phase)
-					rotateCols(vcols[p], vcols[q], c, sn, phase)
+					tensor.JacobiRotate(cols[p], cols[q], c, sn, phase)
+					tensor.JacobiRotate(vcols[p], vcols[q], c, sn, phase)
 				}
 			})
 			// Advance the circle: slot 0 stays, the rest shift one step.
@@ -229,20 +214,12 @@ func svdJacobi(a *tensor.Dense) (u *tensor.Dense, s []float64, v *tensor.Dense, 
 
 // colGram returns ||p||^2, ||q||^2 and <p, q> = p* q.
 func colGram(p, q []complex128) (alpha, beta float64, gamma complex128) {
-	tensor.AddFlops(3 * int64(len(p)))
 	for i := range p {
 		alpha += real(p[i])*real(p[i]) + imag(p[i])*imag(p[i])
 		beta += real(q[i])*real(q[i]) + imag(q[i])*imag(q[i])
 		gamma += cmplx.Conj(p[i]) * q[i]
 	}
 	return alpha, beta, gamma
-}
-
-// rotateCols applies the 2-column Jacobi update [p q] <- [p q] G where
-// G = [[c, s*phase], [-s*conj(phase), c]].
-func rotateCols(p, q []complex128, c, s float64, phase complex128) {
-	tensor.AddFlops(4 * int64(len(p)))
-	tensor.JacobiRotate(p, q, c, s, phase)
 }
 
 // fillOrthoColumn writes into column col of the row-major m-by-k matrix a
@@ -282,19 +259,10 @@ func TruncatedSVD(a *tensor.Dense, rank int) (u *tensor.Dense, s []float64, v *t
 	if k <= 0 {
 		panic(fmt.Sprintf("linalg: TruncatedSVD rank %d invalid", rank))
 	}
-	if obs.Enabled() || telemetry.Active() {
+	if obs.Enabled() {
 		te := TruncError(sf, k)
-		if obs.Enabled() {
-			obsSVDCalls.Add(1)
-			obsSVDTruncError.Set(te)
-		}
-		if telemetry.Active() {
-			telemetry.Observe("svd.trunc_error", te)
-			telemetry.ObserveHist("svd.trunc_error_hist", telemetry.LogBounds, te)
-			// Stash for the peps update on this goroutine to re-label
-			// with its lattice bond (see telemetry.SetPendingTrunc).
-			telemetry.SetPendingTrunc(te)
-		}
+		obs.Observe("svd.trunc_error", te)
+		obs.ObserveHist("svd.trunc_error_hist", obs.LogBounds, te)
 	}
 	return sliceCols(uf, k), sf[:k], sliceCols(vf, k)
 }

@@ -7,16 +7,18 @@ import (
 	"sync/atomic"
 )
 
-// Counters and gauges are registered once (package init of the
-// instrumented layer) and incremented from hot paths, including
-// concurrent rank goroutines; increments are a single atomic op and are
-// skipped entirely while collection is disabled.
+// The metrics registry. Every metric of the process is enumerated here,
+// exactly once: gated counters owned by obs (incremented from hot paths,
+// including concurrent rank goroutines, with a single atomic op that is
+// skipped entirely while collection is disabled), always-on counters
+// and gauges owned by other packages (CounterFunc, GaugeFunc), and the
+// labeled series and histograms of series.go.
 
 var registry struct {
 	mu       sync.Mutex
 	counters []*Counter
 	floats   []*FloatCounter
-	gauges   []*Gauge
+	funcs    []funcMetric
 }
 
 // Counter is a monotonically increasing integer metric (flops, bytes
@@ -87,39 +89,33 @@ func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load
 // Name returns the counter's registered name.
 func (c *FloatCounter) Name() string { return c.name }
 
-// Gauge is a last-value float metric (SVD truncation error, current
-// boundary bond dimension).
-type Gauge struct {
-	name string
-	bits atomic.Uint64
-	set  atomic.Bool
+// funcMetric is an always-on metric owned by another package: the
+// registry does not hold its value, it reads it at snapshot time.
+type funcMetric struct {
+	name, kind string
+	read       func() float64
 }
 
-// NewGauge registers and returns a gauge.
-func NewGauge(name string) *Gauge {
-	g := &Gauge{name: name}
+// CounterFunc registers an always-on integer counter that another
+// package keeps in its own atomic (health fallbacks, plan-cache
+// traffic, block-sparse tallies) behind a public accessor. The
+// registry enumerates it by calling read at snapshot time, so the fact
+// keeps exactly one counter and is exported under exactly one name. It
+// is not gated on Enabled and not zeroed by ResetCounters; its owner
+// resets it.
+func CounterFunc(name string, read func() int64) {
+	registerFunc(name, "counter", func() float64 { return float64(read()) })
+}
+
+// GaugeFunc registers an always-on derived value (a ratio of always-on
+// counters) read at snapshot time; see CounterFunc.
+func GaugeFunc(name string, read func() float64) { registerFunc(name, "gauge", read) }
+
+func registerFunc(name, kind string, read func() float64) {
 	registry.mu.Lock()
-	registry.gauges = append(registry.gauges, g)
+	registry.funcs = append(registry.funcs, funcMetric{name, kind, read})
 	registry.mu.Unlock()
-	return g
 }
-
-// Set records v as the gauge's current value when collection is enabled.
-func (g *Gauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-	g.set.Store(true)
-}
-
-// Value returns the gauge's current value and whether it was ever set.
-func (g *Gauge) Value() (float64, bool) {
-	return math.Float64frombits(g.bits.Load()), g.set.Load()
-}
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
 
 // MetricValue is one entry of a metrics snapshot.
 type MetricValue struct {
@@ -130,8 +126,10 @@ type MetricValue struct {
 }
 
 // Metrics returns a snapshot of every registered counter, float counter,
-// and set gauge, sorted by name. Zero-valued counters are skipped so
-// reports only show metrics the run actually touched.
+// and always-on metric, sorted by name. Zero-valued gated counters are
+// skipped so reports only show metrics the run actually touched;
+// always-on metrics are always reported (a zero fallback count is a
+// fact, not an absence).
 func Metrics() []MetricValue {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
@@ -146,10 +144,8 @@ func Metrics() []MetricValue {
 			out = append(out, MetricValue{Name: c.name, Value: v, Kind: "float"})
 		}
 	}
-	for _, g := range registry.gauges {
-		if v, ok := g.Value(); ok {
-			out = append(out, MetricValue{Name: g.name, Value: v, Kind: "gauge"})
-		}
+	for _, f := range registry.funcs {
+		out = append(out, MetricValue{Name: f.name, Value: f.read(), Kind: f.kind})
 	}
 	// Scratch-memory account (see mem.go): reported as gauges when the
 	// run tracked any scratch at all.
@@ -173,8 +169,10 @@ func MetricValueOf(name string) float64 {
 	return 0
 }
 
-// ResetCounters zeroes every registered counter, float counter, and
-// gauge. Called by Enable so each enabled run starts from zero.
+// ResetCounters zeroes every gated counter and float counter and drops
+// every series and histogram. Called by Enable so each enabled run
+// starts from zero. Always-on metrics belong to their owners and are
+// left alone.
 func ResetCounters() {
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
@@ -184,9 +182,6 @@ func ResetCounters() {
 	for _, c := range registry.floats {
 		c.bits.Store(0)
 	}
-	for _, g := range registry.gauges {
-		g.bits.Store(0)
-		g.set.Store(false)
-	}
+	resetSeries()
 	resetPeakBytes()
 }

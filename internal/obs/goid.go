@@ -29,9 +29,3 @@ func curGoID() uint64 {
 }
 
 var goroutinePrefix = []byte("goroutine ")
-
-// GoID exposes the goroutine id to sibling observability layers (the
-// telemetry recorder uses it to hand truncation errors from linalg to
-// the peps call site on the same goroutine). Same caveat as curGoID:
-// observability only, never program logic.
-func GoID() uint64 { return curGoID() }

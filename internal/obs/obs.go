@@ -258,9 +258,10 @@ func (s *Span) SetStr(key, v string) *Span {
 	return s
 }
 
-// SetFloat annotates the span with a numeric attribute. Float attributes
-// are summed per span name in the phase summary, which is how modeled
-// seconds from the dist machine model appear alongside measured seconds.
+// SetFloat annotates the span with a numeric attribute. Numeric
+// attributes other than identifiers (see idAttrs) are summed per span
+// name in the phase summary, which is how modeled seconds from the dist
+// machine model appear alongside measured seconds.
 func (s *Span) SetFloat(key string, v float64) *Span {
 	if s == nil {
 		return nil
@@ -270,8 +271,8 @@ func (s *Span) SetFloat(key string, v float64) *Span {
 }
 
 // SetInt annotates the span with an integer attribute. Like float
-// attributes, integer attributes are summed per span name in the
-// phase summary.
+// attributes, non-identifier integer attributes are summed per span
+// name in the phase summary.
 func (s *Span) SetInt(key string, v int64) *Span {
 	if s == nil {
 		return nil
@@ -340,6 +341,9 @@ func (s *Span) End() {
 	}
 	agg.self += self
 	for _, a := range s.attrs {
+		if idAttrs[a.Key] {
+			continue
+		}
 		switch a.Kind {
 		case 1:
 			agg.attrs[a.Key] += a.Num
@@ -380,6 +384,16 @@ func Flush() error {
 		}
 	}
 	return first
+}
+
+// idAttrs name the numeric span attributes that identify a span rather
+// than measure it: worker lane, task and message sequence numbers, step,
+// lattice extent, and the sending and receiving rank of a message. A sum
+// of them means nothing, so the phase summary skips them; the sinks
+// still record them per span (koala-obs merge pairs flows by them).
+var idAttrs = map[string]bool{
+	"worker": true, "task": true, "seq": true, "step": true,
+	"rows": true, "cols": true, "from": true, "to": true,
 }
 
 // phaseAgg accumulates the per-span-name summary.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -78,33 +79,47 @@ func TestCountersAndGauges(t *testing.T) {
 	cleanup()
 	c := NewCounter("test.counter")
 	f := NewFloatCounter("test.float")
-	g := NewGauge("test.gauge")
+	var owned atomic.Int64
+	CounterFunc("test.owned", owned.Load)
+	GaugeFunc("test.ratio", func() float64 { return 0.125 })
 	Enable()
 	defer cleanup()
 	c.Add(3)
 	c.Add(4)
 	f.Add(1.5)
 	f.Add(2.5)
-	g.Set(0.125)
 	if c.Value() != 7 {
 		t.Fatalf("counter = %d want 7", c.Value())
 	}
 	if f.Value() != 4 {
 		t.Fatalf("float counter = %v want 4", f.Value())
 	}
-	if v, ok := g.Value(); !ok || v != 0.125 {
-		t.Fatalf("gauge = %v,%v want 0.125,true", v, ok)
-	}
 	if got := MetricValueOf("test.counter"); got != 7 {
 		t.Fatalf("MetricValueOf = %v want 7", got)
 	}
-	// Enable resets.
+	// Always-on metrics are read from their owner at snapshot time and
+	// reported even at zero.
+	kinds := map[string]string{}
+	for _, m := range Metrics() {
+		kinds[m.Name] = m.Kind
+	}
+	if kinds["test.owned"] != "counter" || kinds["test.ratio"] != "gauge" {
+		t.Fatalf("always-on metrics missing or mis-kinded: %v", kinds)
+	}
+	owned.Add(5)
+	if got := MetricValueOf("test.owned"); got != 5 {
+		t.Fatalf("owned counter = %v want 5", got)
+	}
+	if got := MetricValueOf("test.ratio"); got != 0.125 {
+		t.Fatalf("gauge = %v want 0.125", got)
+	}
+	// Enable resets the gated counters; the owner's count is its own.
 	Enable()
 	if c.Value() != 0 || f.Value() != 0 {
 		t.Fatal("Enable should reset counters")
 	}
-	if _, ok := g.Value(); ok {
-		t.Fatal("Enable should reset gauges")
+	if got := MetricValueOf("test.owned"); got != 5 {
+		t.Fatalf("Enable must not reset an owned counter: %v", got)
 	}
 }
 
@@ -211,13 +226,12 @@ func TestChromeTraceSinkNesting(t *testing.T) {
 }
 
 // TestConcurrentCounters exercises the lock-free paths under the race
-// detector: many goroutines hammering counters, floats, and gauges while
+// detector: many goroutines hammering counters, floats, and series while
 // spans open and close on the main goroutine.
 func TestConcurrentCounters(t *testing.T) {
 	cleanup()
 	c := NewCounter("test.race.counter")
 	f := NewFloatCounter("test.race.float")
-	g := NewGauge("test.race.gauge")
 	Enable()
 	defer cleanup()
 
@@ -231,7 +245,7 @@ func TestConcurrentCounters(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				c.Add(1)
 				f.Add(0.5)
-				g.Set(float64(w))
+				Observe("test.race.series", float64(w))
 			}
 		}(w)
 	}
@@ -246,6 +260,9 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 	if f.Value() != workers*iters*0.5 {
 		t.Fatalf("float = %v want %v", f.Value(), workers*iters*0.5)
+	}
+	if n := GetSeries("test.race.series").Count(); n != workers*iters {
+		t.Fatalf("series count = %d want %d", n, workers*iters)
 	}
 }
 
@@ -291,5 +308,65 @@ func TestWriteSummaryTable(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "phase.x") || !strings.Contains(out, "modeled_s") {
 		t.Fatalf("summary table missing content:\n%s", out)
+	}
+}
+
+// BenchmarkInactiveObserve measures the disabled series path — the cost
+// every solver/update call pays when collection is off. It must stay a
+// single atomic load with zero allocations.
+func BenchmarkInactiveObserve(b *testing.B) {
+	cleanup()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Observe("svd.trunc_error", 1e-9)
+	}
+}
+
+func BenchmarkActiveObserve(b *testing.B) {
+	cleanup()
+	Enable()
+	defer cleanup()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Observe("svd.trunc_error", 1e-9)
+	}
+}
+
+// TestSummarySkipsIdentifierAttrs: identifier attributes (worker lane,
+// task and message sequence numbers, step, lattice extent, message
+// endpoints) are kept per span by the sinks but never summed into the
+// phase summary, where a total of ids is meaningless; measures still are.
+func TestSummarySkipsIdentifierAttrs(t *testing.T) {
+	cleanup()
+	var buf bytes.Buffer
+	Enable(NewJSONLSink(&buf))
+	defer cleanup()
+	for i := 0; i < 3; i++ {
+		sp := Start("task.body")
+		for _, k := range []string{"worker", "task", "seq", "step", "rows", "cols", "from", "to"} {
+			sp.SetInt(k, int64(100+i))
+		}
+		sp.SetInt("flops", 10).SetFloat("modeled_s", 0.5)
+		sp.End()
+	}
+	var row PhaseStat
+	for _, s := range Summary() {
+		if s.Name == "task.body" {
+			row = s
+		}
+	}
+	if len(row.Attrs) != 2 || row.Attrs["flops"] != 30 || row.Attrs["modeled_s"] != 1.5 {
+		t.Fatalf("summary attrs = %v, want only flops=30 modeled_s=1.5", row.Attrs)
+	}
+	var out strings.Builder
+	WriteSummary(&out)
+	if strings.Contains(out.String(), "worker") || strings.Contains(out.String(), "task ") {
+		t.Fatalf("summary table shows identifier columns:\n%s", out.String())
+	}
+	if err := Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(buf.String(), `"worker":`); n != 3 {
+		t.Fatalf("JSONL log kept %d worker attributes, want one per span (3)", n)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/obs"
 	"gokoala/internal/quantum"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
@@ -390,7 +389,6 @@ func (p *SymPEPS) applySymAdjacent(g4 *tensor.Sym, ra, ca, rb, cb int, opts SymU
 // (r,c) and (r,c+1), every kernel running block by block.
 func (p *SymPEPS) applySymHorizontal(g4 *tensor.Sym, r, c int, opts SymUpdateOptions) {
 	a, b := p.sites[r][c], p.sites[r][c+1]
-	telemetry.ClearPendingTrunc()
 	qa, ra := p.eng.SymQRSplit(a, 3)                          // [a,b,c,k], [k,x,p]
 	qb, rb := p.eng.SymQRSplit(b.Transpose(0, 2, 3, 1, 4), 3) // rows (e,f,g): [e,f,g,l], [l,x,q]
 	rka, rkb, s := einsumsvd.MustSymFactor(p.eng, einsumsvd.SigmaBoth,
@@ -407,7 +405,6 @@ func (p *SymPEPS) applySymHorizontal(g4 *tensor.Sym, r, c int, opts SymUpdateOpt
 // applySymVertical is the same update on sites (r,c) and (r+1,c).
 func (p *SymPEPS) applySymVertical(g4 *tensor.Sym, r, c int, opts SymUpdateOptions) {
 	a, b := p.sites[r][c], p.sites[r+1][c]
-	telemetry.ClearPendingTrunc()
 	qa, ra := p.eng.SymQRSplit(a.Transpose(0, 1, 3, 2, 4), 3) // rows (a,b,d): [a,b,d,k], [k,x,p]
 	qb, rb := p.eng.SymQRSplit(b.Transpose(1, 2, 3, 0, 4), 3) // rows (f,g,h): [f,g,h,l], [l,x,q]
 	rka, rkb, s := einsumsvd.MustSymFactor(p.eng, einsumsvd.SigmaBoth,

@@ -10,7 +10,6 @@ import (
 	"gokoala/internal/obs"
 	"gokoala/internal/pool"
 	"gokoala/internal/quantum"
-	"gokoala/internal/telemetry"
 	"gokoala/internal/tensor"
 )
 
@@ -153,7 +152,6 @@ func (p *PEPS) applyHorizontal(g4 *tensor.Dense, r, c int, opts UpdateOptions) f
 	a, b := p.sites[r][c], p.sites[r][c+1]
 	var na, nb *tensor.Dense
 	var s []float64
-	telemetry.ClearPendingTrunc()
 	if opts.Method == UpdateDirect {
 		// A[a,b,c,x,p] B[e,x,f,g,q] G[i,j,p,q] -> [a,b,c,n,i] | [e,n,f,g,j]
 		na, nb, s = einsumsvd.MustFactor(opts.strategy(), p.eng,
@@ -186,7 +184,6 @@ func (p *PEPS) applyVertical(g4 *tensor.Dense, r, c int, opts UpdateOptions) flo
 	a, b := p.sites[r][c], p.sites[r+1][c]
 	var na, nb *tensor.Dense
 	var s []float64
-	telemetry.ClearPendingTrunc()
 	if opts.Method == UpdateDirect {
 		// A[a,b,x,d,p] B[x,f,g,h,q] G[i,j,p,q] -> [a,b,n,d,i] | [n,f,g,h,j]
 		na, nb, s = einsumsvd.MustFactor(opts.strategy(), p.eng,
@@ -211,25 +208,17 @@ func (p *PEPS) applyVertical(g4 *tensor.Dense, r, c int, opts UpdateOptions) flo
 
 // recordBondUpdate publishes one two-site update's telemetry: the new
 // bond dimension as a per-bond labeled series plus a lattice-wide
-// histogram, and — when the factorization went through an explicit
-// truncated SVD on this goroutine — the per-bond discarded spectral
-// weight it stashed. Bonds are labeled by direction and the (row, col)
-// of the gate's first site. One atomic load when no listener is
-// attached.
+// histogram. Bonds are labeled by direction and the (row, col) of the
+// gate's first site. One atomic load while obs collection is off.
 func recordBondUpdate(dir string, r, c, dim int) {
-	if !telemetry.Active() {
+	if !obs.Enabled() {
 		return
 	}
-	labels := []telemetry.Label{
-		{Key: "dir", Value: dir},
-		{Key: "row", Value: strconv.Itoa(r)},
-		{Key: "col", Value: strconv.Itoa(c)},
-	}
-	telemetry.Observe("peps.bond_dim", float64(dim), labels...)
-	telemetry.ObserveHist("peps.bond_dim_hist", telemetry.Pow2Bounds, float64(dim))
-	if te, ok := telemetry.TakePendingTrunc(); ok {
-		telemetry.Observe("peps.bond_trunc_error", te, labels...)
-	}
+	obs.Observe("peps.bond_dim", float64(dim),
+		obs.Label{Key: "dir", Value: dir},
+		obs.Label{Key: "row", Value: strconv.Itoa(r)},
+		obs.Label{Key: "col", Value: strconv.Itoa(c)})
+	obs.ObserveHist("peps.bond_dim_hist", obs.Pow2Bounds, float64(dim))
 }
 
 // normalizeSite rescales a site tensor to unit Frobenius norm, folding

@@ -3,9 +3,9 @@
 // every spawned rank, heartbeats it on each successful sync ping or
 // collective ack, and marks it dead when its monitor reaps the process
 // — so the parent's /healthz answers "are all my ranks alive" (503 on a
-// dead rank) without scraping the children. Unlike the series registry
-// this is not gated on Active(): liveness must be current the moment a
-// listener attaches.
+// dead rank) without scraping the children. Unlike the obs series
+// registry this is not gated on obs.Enabled: liveness must be current
+// the moment a listener attaches.
 package telemetry
 
 import (

@@ -12,21 +12,25 @@ import (
 	"testing"
 	"time"
 
+	"gokoala/internal/einsum"
 	"gokoala/internal/health"
 	"gokoala/internal/obs"
 	"gokoala/internal/tensor"
 )
 
-// resetAll returns the package and health counters to a clean slate so
-// tests compose regardless of order.
+// resetAll returns the package, the obs registry, and the health
+// counters to a clean, disabled slate so tests compose regardless of
+// order.
 func resetAll(t *testing.T) {
 	t.Helper()
 	Reset()
-	SetActive(false)
+	obs.Disable()
+	obs.ResetCounters()
 	health.ResetCounters()
 	t.Cleanup(func() {
 		Reset()
-		SetActive(false)
+		obs.Disable()
+		obs.ResetCounters()
 		health.ResetCounters()
 		health.SetPolicy(health.PolicyOff)
 	})
@@ -34,16 +38,20 @@ func resetAll(t *testing.T) {
 
 func TestSeriesObserveAndSnapshot(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
-	Observe("ite.energy_per_site", -1.5)
-	Observe("ite.energy_per_site", -2.0)
-	Observe("peps.bond_dim", 4, Label{"dir", "h"}, Label{"row", "0"}, Label{"col", "1"})
-	ObserveHist("svd.trunc_error_hist", LogBounds, 1e-9)
+	obs.Enable()
+	obs.Observe("ite.energy_per_site", -1.5)
+	obs.Observe("ite.energy_per_site", -2.0)
+	obs.Observe("peps.bond_dim", 4, obs.Label{Key: "dir", Value: "h"}, obs.Label{Key: "row", Value: "0"}, obs.Label{Key: "col", Value: "1"})
+	obs.ObserveHist("svd.trunc_error_hist", obs.LogBounds, 1e-9)
 
-	series, hists := Snapshot()
-	byKey := map[string]SeriesSnapshot{}
+	series, hists := obs.SnapshotSeries()
+	byKey := map[string]obs.SeriesSnapshot{}
 	for _, s := range series {
-		byKey[seriesKey(s.Name, s.Labels)] = s
+		key := s.Name
+		for _, l := range s.Labels {
+			key += "," + l.Key + "=" + l.Value
+		}
+		byKey[key] = s
 	}
 	e, ok := byKey["ite.energy_per_site"]
 	if !ok {
@@ -52,7 +60,7 @@ func TestSeriesObserveAndSnapshot(t *testing.T) {
 	if e.Last != -2.0 || e.Count != 2 || e.Sum != -3.5 {
 		t.Fatalf("series aggregate wrong: %+v", e)
 	}
-	if _, ok := byKey[seriesKey("peps.bond_dim", []Label{{"dir", "h"}, {"row", "0"}, {"col", "1"}})]; !ok {
+	if _, ok := byKey["peps.bond_dim,dir=h,row=0,col=1"]; !ok {
 		t.Fatalf("labeled series missing: %v", byKey)
 	}
 	if len(hists) != 1 || hists[0].Count != 1 {
@@ -62,9 +70,15 @@ func TestSeriesObserveAndSnapshot(t *testing.T) {
 
 func TestObserveInactiveIsNoop(t *testing.T) {
 	resetAll(t)
-	Observe("ite.step", 1)
-	ObserveHist("peps.bond_dim_hist", Pow2Bounds, 4)
-	series, hists := Snapshot()
+	obs.Observe("ite.step", 1)
+	obs.ObserveHist("peps.bond_dim_hist", obs.Pow2Bounds, 4)
+	Publish("ite.step", 1, nil)
+	series, hists := obs.SnapshotSeries()
+	_, replay, cancel := Subscribe(1)
+	cancel()
+	if len(replay) != 0 {
+		t.Fatalf("inactive publish must not queue events: %v", replay)
+	}
 	if len(series) != 0 || len(hists) != 0 {
 		t.Fatalf("inactive observes must not register: %v %v", series, hists)
 	}
@@ -75,14 +89,13 @@ func TestObserveInactiveIsNoop(t *testing.T) {
 // parser to accept every line and find the families watch depends on.
 func TestMetricsExpositionRoundTrip(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	SetRunInfo("ite", map[string]string{"model": "tfi", "rows": "2"})
-	Observe("ite.energy_per_site", -2.125)
-	Observe("ite.step", 3)
-	Observe("svd.trunc_error", 2.5e-10)
-	Observe("peps.bond_trunc_error", 1e-9, Label{"dir", "h"}, Label{"row", "0"}, Label{"col", "0"})
-	ObserveHist("peps.bond_dim_hist", Pow2Bounds, 4)
-	ObserveHist("solver.sweeps", Pow2Bounds, 7, Label{"solver", "jacobi_svd"})
+	obs.Observe("ite.energy_per_site", -2.125)
+	obs.Observe("ite.step", 3)
+	obs.Observe("svd.trunc_error", 2.5e-10)
+	obs.ObserveHist("peps.bond_dim_hist", obs.Pow2Bounds, 4)
+	obs.ObserveHist("solver.sweeps", obs.Pow2Bounds, 7, obs.Label{Key: "solver", Value: "jacobi_svd"})
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -102,11 +115,11 @@ func TestMetricsExpositionRoundTrip(t *testing.T) {
 		"koala_ite_energy_per_site",
 		"koala_ite_step",
 		"koala_svd_trunc_error",
-		`koala_peps_bond_trunc_error{dir="h",row="0",col="0"}`,
 		`koala_peps_bond_dim_hist_bucket{le="4"}`,
 		"koala_peps_bond_dim_hist_count",
 		`koala_solver_sweeps_bucket{solver="jacobi_svd",le="8"}`,
 		"koala_einsum_plan_hit_ratio",
+		"koala_einsum_flops_saved_ratio",
 		"koala_health_nan_detected",
 		"koala_go_goroutines",
 	} {
@@ -188,7 +201,7 @@ func TestHealthzTransitions(t *testing.T) {
 // publisher, its own events in publish order.
 func TestSSEOrdering(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
 
@@ -252,7 +265,7 @@ func TestSSEOrdering(t *testing.T) {
 
 func TestSSEReplay(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	for i := 0; i < 5; i++ {
 		Publish("warm.up", i, nil)
 	}
@@ -268,41 +281,16 @@ func TestSSEReplay(t *testing.T) {
 	}
 }
 
-func TestPendingTruncSameGoroutineOnly(t *testing.T) {
-	resetAll(t)
-	SetActive(true)
-	SetPendingTrunc(0.25)
-	done := make(chan bool)
-	go func() {
-		_, ok := TakePendingTrunc()
-		done <- ok
-	}()
-	if <-done {
-		t.Fatal("pending trunc leaked across goroutines")
-	}
-	if v, ok := TakePendingTrunc(); !ok || v != 0.25 {
-		t.Fatalf("same-goroutine take = %v,%v want 0.25,true", v, ok)
-	}
-	if _, ok := TakePendingTrunc(); ok {
-		t.Fatal("second take must miss")
-	}
-	SetPendingTrunc(0.5)
-	ClearPendingTrunc()
-	if _, ok := TakePendingTrunc(); ok {
-		t.Fatal("take after clear must miss")
-	}
-}
-
 func TestServerServeClose(t *testing.T) {
 	resetAll(t)
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Active() {
-		t.Fatal("Serve must activate recording")
+	if !obs.Enabled() {
+		t.Fatal("Serve must enable obs collection")
 	}
-	Observe("ite.step", 1)
+	obs.Observe("ite.step", 1)
 	for _, path := range []string{"/metrics", "/healthz", "/", "/debug/pprof/"} {
 		resp, err := http.Get("http://" + srv.Addr() + path)
 		if err != nil {
@@ -316,9 +304,6 @@ func TestServerServeClose(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if Active() {
-		t.Fatal("Close must deactivate recording")
-	}
 	var nilSrv *Server
 	if err := nilSrv.Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
@@ -327,7 +312,7 @@ func TestServerServeClose(t *testing.T) {
 
 func TestEventRingDropsOldest(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	for i := 0; i < ringSize+10; i++ {
 		Publish("fill", i, nil)
 	}
@@ -353,31 +338,9 @@ func TestPromName(t *testing.T) {
 	}
 }
 
-// BenchmarkInactiveObserve measures the disabled hot path — the cost
-// every solver/update call pays when no -listen plane is attached. It
-// must stay a single atomic load with zero allocations.
-func BenchmarkInactiveObserve(b *testing.B) {
-	Reset()
-	SetActive(false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Observe("svd.trunc_error", 1e-9)
-	}
-}
-
-func BenchmarkActiveObserve(b *testing.B) {
-	Reset()
-	SetActive(true)
-	defer SetActive(false)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Observe("svd.trunc_error", 1e-9)
-	}
-}
-
 func TestWriteMetricsValidUnderConcurrentLoad(t *testing.T) {
 	resetAll(t)
-	SetActive(true)
+	obs.Enable()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -390,8 +353,8 @@ func TestWriteMetricsValidUnderConcurrentLoad(t *testing.T) {
 					return
 				default:
 				}
-				Observe("load.series", float64(i), Label{"g", fmt.Sprint(g)})
-				ObserveHist("load.hist", Pow2Bounds, float64(i%64))
+				obs.Observe("load.series", float64(i), obs.Label{Key: "g", Value: fmt.Sprint(g)})
+				obs.ObserveHist("load.hist", obs.Pow2Bounds, float64(i%64))
 			}
 		}(g)
 	}
@@ -408,16 +371,14 @@ func TestWriteMetricsValidUnderConcurrentLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// With obs collection on, the obs counter dump exports the health
-// counters (same underlying atomics) before the static health block;
-// the block must skip already-emitted names or the strict parser sees
-// duplicate samples.
+// With obs collection on, the health counters reach the exposition
+// once, through the obs registry's read of their always-on atomics.
 func TestExpositionNoDuplicateHealthSamples(t *testing.T) {
 	resetAll(t)
 	obs.Enable()
 	t.Cleanup(func() { obs.Disable() })
 	health.CountGramFallback()
-	SetActive(true)
+	obs.Enable()
 
 	var buf strings.Builder
 	WriteMetrics(&buf)
@@ -427,5 +388,52 @@ func TestExpositionNoDuplicateHealthSamples(t *testing.T) {
 	}
 	if v := samples["koala_health_gram_fallbacks"]; v != 1 {
 		t.Fatalf("koala_health_gram_fallbacks = %g, want 1", v)
+	}
+}
+
+// TestExpositionOneNamePerFact requires the always-on counters of the
+// einsum layer to appear once, under their registry names, with the
+// values of their public accessors — and none of the second spellings
+// an earlier renderer emitted beside them.
+func TestExpositionOneNamePerFact(t *testing.T) {
+	resetAll(t)
+	einsum.ResetPlanCache()
+	einsum.ResetSymStats()
+	obs.Enable()
+	a, b := tensor.New(2, 3), tensor.New(3, 4)
+	for i := 0; i < 3; i++ {
+		einsum.MustContract("ij,jk->ik", a, b)
+	}
+
+	var buf strings.Builder
+	WriteMetrics(&buf)
+	samples, err := ParseMetrics(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatalf("exposition rejected by strict parser: %v", err)
+	}
+	h, m, _ := einsum.PlanCacheStats()
+	hits, misses := float64(h), float64(m)
+	for name, want := range map[string]float64{
+		"koala_einsum_plan_hits":             hits,
+		"koala_einsum_plan_misses":           misses,
+		"koala_einsum_plan_hit_ratio":        hits / (hits + misses),
+		"koala_einsum_sym_blocks":            0,
+		"koala_einsum_sym_flops":             0,
+		"koala_einsum_sym_dense_equiv_flops": 0,
+		"koala_einsum_flops_saved_ratio":     0,
+		"koala_health_checkpoint_failures":   0,
+	} {
+		if got, ok := samples[name]; !ok || got != want {
+			t.Errorf("%s = %g (present %v), want %g", name, got, ok, want)
+		}
+	}
+	for _, gone := range []string{
+		"koala_einsum_sym_block_gemms",
+		"koala_einsum_sym_flops_total",
+		"koala_einsum_sym_dense_equiv_flops_total",
+	} {
+		if _, ok := samples[gone]; ok {
+			t.Errorf("%s exported: the fact already has a name", gone)
+		}
 	}
 }

@@ -110,7 +110,7 @@ func CPUFeatures() string { return cpuFeatures }
 //	q[i] = s*phase*p[i] + c*q[i]
 //
 // in place. It is the inner loop of the one-sided Jacobi SVD in
-// internal/linalg; the caller accounts the flops. The update is purely
+// internal/linalg, which charges the whole SVD by shape. The update is purely
 // elementwise, so both kernel variants are invariant under any row
 // split.
 func JacobiRotate(p, q []complex128, c float64, s float64, phase complex128) {

@@ -13,6 +13,7 @@ import (
 	"gokoala/internal/checkpoint"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/health"
+	"gokoala/internal/obs"
 	"gokoala/internal/optimize"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
@@ -124,7 +125,7 @@ type Result struct {
 
 // EnergyPEPS evaluates the ansatz energy per site with a PEPS simulation
 // at bond dimension rank.
-func EnergyPEPS(a Ansatz, obs *quantum.Observable, theta []float64, opts Options) float64 {
+func EnergyPEPS(a Ansatz, ham *quantum.Observable, theta []float64, opts Options) float64 {
 	eng := opts.Engine
 	if eng == nil {
 		eng = backend.NewDense()
@@ -146,7 +147,7 @@ func EnergyPEPS(a Ansatz, obs *quantum.Observable, theta []float64, opts Options
 		Method:    peps.UpdateQR,
 		Normalize: true,
 	})
-	return state.EnergyPerSite(obs, peps.ExpectationOptions{
+	return state.EnergyPerSite(ham, peps.ExpectationOptions{
 		M:        m,
 		Strategy: strategy,
 		UseCache: opts.UseCache,
@@ -154,18 +155,18 @@ func EnergyPEPS(a Ansatz, obs *quantum.Observable, theta []float64, opts Options
 }
 
 // EnergyStateVector evaluates the ansatz energy per site exactly.
-func EnergyStateVector(a Ansatz, obs *quantum.Observable, theta []float64) float64 {
+func EnergyStateVector(a Ansatz, ham *quantum.Observable, theta []float64) float64 {
 	sv := statevector.Zeros(a.Rows * a.Cols)
 	for _, g := range a.Gates(theta) {
 		sv.ApplyGate(g)
 	}
-	return real(sv.Expectation(obs)) / float64(a.Rows*a.Cols)
+	return real(sv.Expectation(ham)) / float64(a.Rows*a.Cols)
 }
 
 // Run minimizes the ansatz energy with restarted Nelder-Mead. Rank 0
 // uses the state-vector objective; otherwise PEPS at the given bond
 // dimension.
-func Run(a Ansatz, obs *quantum.Observable, opts Options) Result {
+func Run(a Ansatz, ham *quantum.Observable, opts Options) Result {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 150
 	}
@@ -190,12 +191,12 @@ func Run(a Ansatz, obs *quantum.Observable, opts Options) Result {
 	objective := func(theta []float64) float64 {
 		var e float64
 		if opts.Rank <= 0 {
-			e = EnergyStateVector(a, obs, theta)
+			e = EnergyStateVector(a, ham, theta)
 		} else {
-			e = EnergyPEPS(a, obs, theta, opts)
+			e = EnergyPEPS(a, ham, theta, opts)
 			health.CheckFloat("vqe.energy", e)
 		}
-		telemetry.Observe("vqe.eval_energy_per_site", e)
+		obs.Observe("vqe.eval_energy_per_site", e)
 		return e
 	}
 	if opts.From == nil {
@@ -237,9 +238,9 @@ func Run(a Ansatz, obs *quantum.Observable, opts Options) Result {
 				Seed:    opts.Seed,
 			})
 		}
-		if telemetry.Active() {
-			telemetry.Observe("vqe.energy_per_site", out.EnergyPerSite)
-			telemetry.Observe("vqe.round", float64(done))
+		if obs.Enabled() {
+			obs.Observe("vqe.energy_per_site", out.EnergyPerSite)
+			obs.Observe("vqe.round", float64(done))
 			telemetry.Publish("vqe.round", done, map[string]float64{
 				"round":           float64(done),
 				"rounds_total":    float64(opts.Restarts),
