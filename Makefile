@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check check-purego bench bench-smoke bench-sched bench-resume bench-compare telemetry-smoke sym-smoke dist-smoke clean
+.PHONY: all build test race vet check check-purego bench bench-smoke bench-sched bench-resume bench-compare telemetry-smoke sym-smoke clean
 
 all: check
 
@@ -136,94 +136,6 @@ sym-smoke:
 	   ! grep -q "^sym acceptance j1j2-u1: .*PASS$$" $$tmp/out.txt; then \
 		echo "sym-smoke: acceptance failed"; cat $$tmp/out.txt; exit 1; fi; \
 	echo "sym-smoke: block-sparse acceptance passed on both models"
-
-# Real rank-process transport smoke (binaries built -race):
-#  1. koala-rqc at ranks 1/2/4 over Unix sockets must print stdout
-#     bit-identical to the in-process transport at the same rank count
-#     (real rank processes change nothing about the numerics).
-#  2. A 4-rank fig7a run's deterministic metrics (modeled dist stats
-#     included; measured wall clock excluded by design) must diff clean
-#     against the in-process run via koala-obs diff.
-#  3. Cross-rank tracing: a 4-rank fig7a run with -rank-trace must be
-#     scrapeable mid-run on every child rank's /metrics (validated by
-#     the strict exposition parser in koala-obs watch), yield per-rank
-#     stats in BENCH_fig7a.json, and merge into one clock-aligned trace
-#     whose report shows all 4 ranks with nonzero comm seconds, at
-#     least one matched send→recv flow per collective op the run used,
-#     and a cross-rank critical path.
-#  4. Killed-rank teardown: with KOALA_RANK_DIE_AFTER injected the job
-#     must fail naming a rank and leave zero orphaned rank processes.
-dist-smoke:
-	@tmp=$$(mktemp -d); trap "rm -rf $$tmp" EXIT; set -e; \
-	$(GO) build -race -o $$tmp/koala-rqc ./cmd/koala-rqc; \
-	$(GO) build -race -o $$tmp/koala-bench ./cmd/koala-bench; \
-	$(GO) build -o $$tmp/koala-obs ./cmd/koala-obs; \
-	for n in 1 2 4; do \
-		$$tmp/koala-rqc -n 3 -layers 2 -ms 1,2 -ranks $$n -transport inproc \
-			> $$tmp/rqc-inproc-$$n.txt 2> $$tmp/rqc-inproc-$$n.err; \
-		$$tmp/koala-rqc -n 3 -layers 2 -ms 1,2 -ranks $$n -transport unix \
-			> $$tmp/rqc-unix-$$n.txt 2> $$tmp/rqc-unix-$$n.err; \
-		cmp $$tmp/rqc-inproc-$$n.txt $$tmp/rqc-unix-$$n.txt || { \
-			echo "dist-smoke: rqc output differs across transports at ranks=$$n"; exit 1; }; \
-	done; \
-	grep -q "measured:" $$tmp/rqc-unix-4.err || { \
-		echo "dist-smoke: no measured collective summary at ranks=4"; cat $$tmp/rqc-unix-4.err; exit 1; }; \
-	$$tmp/koala-bench -transport inproc -ranks 4 -scaling=false \
-		-metrics $$tmp/fig7a-inproc.jsonl fig7a > $$tmp/fig7a-inproc.txt; \
-	$$tmp/koala-bench -transport unix -ranks 4 -scaling=false \
-		-metrics $$tmp/fig7a-unix.jsonl fig7a > $$tmp/fig7a-unix.txt; \
-	$$tmp/koala-obs diff $$tmp/fig7a-inproc.jsonl $$tmp/fig7a-unix.jsonl || { \
-		echo "dist-smoke: fig7a deterministic metrics differ across transports"; exit 1; }; \
-	rt=$$tmp/rt; \
-	$$tmp/koala-bench -transport unix -ranks 4 -scaling=false -rank-trace $$rt \
-		-json $$tmp fig7a > $$tmp/fig7a-traced.txt 2> $$tmp/fig7a-traced.err & bpid=$$!; \
-	for r in 1 2 3; do \
-		ok=""; for i in $$(seq 1 300); do \
-			if [ -f $$rt/rank$$r.addr ] \
-				&& $$tmp/koala-obs watch -once -json $$(cat $$rt/rank$$r.addr) \
-					> $$tmp/rank$$r.snap 2> $$tmp/rank$$r.watch.err \
-				&& grep -q koala_dist_measured_comm_seconds $$tmp/rank$$r.snap; then ok=1; break; fi; \
-			sleep 0.1; done; \
-		if [ -z "$$ok" ]; then echo "dist-smoke: no validated mid-run /metrics snapshot from rank $$r"; \
-			cat $$tmp/rank$$r.watch.err 2>/dev/null; cat $$tmp/fig7a-traced.err; \
-			kill $$bpid 2>/dev/null; exit 1; fi; \
-	done; \
-	wait $$bpid || { echo "dist-smoke: traced fig7a run failed"; cat $$tmp/fig7a-traced.err; exit 1; }; \
-	grep -q '"ranks"' $$tmp/BENCH_fig7a.json || { \
-		echo "dist-smoke: BENCH_fig7a.json has no per-rank stats array"; exit 1; }; \
-	$$tmp/koala-obs merge -o $$tmp/merged.jsonl -chrome $$tmp/merged.trace.json $$rt > $$tmp/merge.txt; \
-	grep -q "merged 4 ranks" $$tmp/merge.txt || { \
-		echo "dist-smoke: merge did not see 4 ranks"; cat $$tmp/merge.txt; exit 1; }; \
-	grep -q "max residual skew" $$tmp/merge.txt || { \
-		echo "dist-smoke: merge reported no clock-alignment bound"; cat $$tmp/merge.txt; exit 1; }; \
-	for op in bcast gather allreduce alltoall; do \
-		pairs=$$(awk -v op=$$op '$$1 == op && $$3 == "matched" {print $$2}' $$tmp/merge.txt); \
-		if [ -z "$$pairs" ] || [ "$$pairs" -lt 1 ]; then \
-			echo "dist-smoke: no matched send-recv flow pairs for $$op"; cat $$tmp/merge.txt; exit 1; fi; \
-	done; \
-	grep -q '"ph": "s"' $$tmp/merged.trace.json || { \
-		echo "dist-smoke: chrome trace has no flow events"; exit 1; }; \
-	$$tmp/koala-obs report $$tmp/merged.jsonl > $$tmp/merged-report.txt; \
-	grep -q "merged trace: 4 ranks" $$tmp/merged-report.txt || { \
-		echo "dist-smoke: report missing merged banner"; cat $$tmp/merged-report.txt; exit 1; }; \
-	grep -q "cross-rank critical path" $$tmp/merged-report.txt || { \
-		echo "dist-smoke: report missing cross-rank critical path"; exit 1; }; \
-	for r in 0 1 2 3; do \
-		comm=$$(awk -v r=$$r 'f && $$1 == r {print $$4; exit} /per-rank utilization/ {f=1}' $$tmp/merged-report.txt); \
-		case "$$comm" in ""|0.000000) \
-			echo "dist-smoke: rank $$r comm seconds missing or zero in merged report"; \
-			cat $$tmp/merged-report.txt; exit 1;; esac; \
-	done; \
-	status=0; KOALA_RANK_DIE_AFTER=2 $$tmp/koala-rqc -n 3 -layers 1 -ms 1 -ranks 4 -transport unix \
-		> $$tmp/kill.txt 2> $$tmp/kill.err || status=$$?; \
-	if [ $$status -eq 0 ]; then \
-		echo "dist-smoke: killed-rank job exited 0"; cat $$tmp/kill.err; exit 1; fi; \
-	grep -q "rank" $$tmp/kill.err || { \
-		echo "dist-smoke: killed-rank error does not name a rank"; cat $$tmp/kill.err; exit 1; }; \
-	sleep 1; \
-	if pgrep -f "$$tmp/koala-rqc" > /dev/null 2>&1; then \
-		echo "dist-smoke: orphaned rank processes after failure"; pgrep -af "$$tmp/koala-rqc"; exit 1; fi; \
-	echo "dist-smoke: ranks 1/2/4 bit-identical across transports, metrics diff clean, 4-rank trace merged and aligned, killed rank torn down with no orphans"
 
 clean:
 	$(GO) clean ./...

@@ -28,7 +28,6 @@ import (
 )
 
 func main() {
-	cliutil.MaybeRankMode()
 	model := flag.String("model", "j1j2", "hamiltonian: j1j2 | tfi")
 	rows := flag.Int("rows", 4, "lattice rows")
 	cols := flag.Int("cols", 4, "lattice columns")

@@ -11,8 +11,9 @@
 //
 // report prints the per-phase summary, the top-k spans by inclusive
 // time, exclusive time, and flops, the critical path with per-step
-// slack, and the per-rank utilization table of every modeled grid.
-// -json emits the same content as one machine-readable document.
+// slack, the per-rank utilization table of every modeled grid, and the
+// per-collective modeled communication time. -json emits the same
+// content as one machine-readable document.
 //
 // diff compares only the deterministic fields of two logs — machine
 // model totals, operation counts, health counters, rank timelines —
@@ -69,16 +70,6 @@ func main() {
 		}
 		report(w, t, *top)
 		done()
-	case "merge":
-		fs := flag.NewFlagSet("merge", flag.ExitOnError)
-		outFile := fs.String("o", "", "write the merged JSONL trace to this file")
-		chromeFile := fs.String("chrome", "", "also write a Chrome trace_event JSON file")
-		fs.Parse(os.Args[2:])
-		if fs.NArg() != 1 {
-			usage()
-			os.Exit(2)
-		}
-		merge(fs.Arg(0), *outFile, *chromeFile)
 	case "watch":
 		os.Exit(runWatch(os.Args[2:]))
 	case "diff":
@@ -134,66 +125,11 @@ func output(path string) (io.Writer, func()) {
 	}
 }
 
-// merge folds a -rank-trace directory into one skew-corrected multi-rank
-// trace and prints a summary of the alignment and pairing quality.
-func merge(dir, outFile, chromeFile string) {
-	m, err := obsfile.MergeDir(dir)
-	if err != nil {
-		fatal(err)
-	}
-	if outFile != "" {
-		w, done := output(outFile)
-		if err := m.WriteJSONL(w); err != nil {
-			fatal(err)
-		}
-		done()
-	}
-	if chromeFile != "" {
-		w, done := output(chromeFile)
-		if err := m.WriteChromeTrace(w); err != nil {
-			fatal(err)
-		}
-		done()
-	}
-	fmt.Printf("merged %d ranks: %d spans, %d flows\n",
-		len(m.Ranks), len(m.Trace.Spans), len(m.Trace.Flows))
-	ops := make([]string, 0, len(m.PairsByOp))
-	for op := range m.PairsByOp {
-		ops = append(ops, op)
-	}
-	sort.Strings(ops)
-	for _, op := range ops {
-		fmt.Printf("  %-10s %d matched pairs\n", op, m.PairsByOp[op])
-	}
-	if m.UnmatchedSends+m.UnmatchedRecvs > 0 {
-		fmt.Printf("unmatched: %d sends, %d recvs\n", m.UnmatchedSends, m.UnmatchedRecvs)
-	}
-	if len(m.MissingRanks) > 0 {
-		fmt.Printf("missing ranks: %v\n", m.MissingRanks)
-	}
-	if m.Trace.Truncated {
-		fmt.Println("note: at least one rank log was cut mid-record (killed past teardown grace)")
-	}
-	fmt.Printf("clock alignment: max offset %s, max residual skew %s\n",
-		obsfile.FormatUS(float64(m.MaxAbsOffsetNS)/1e3),
-		obsfile.FormatUS(float64(m.MaxResidualNS)/1e3))
-	if outFile != "" {
-		fmt.Printf("wrote %s\n", outFile)
-	}
-	if chromeFile != "" {
-		fmt.Printf("wrote %s\n", chromeFile)
-	}
-}
-
 func report(w io.Writer, t *obsfile.Trace, top int) {
 	fmt.Fprintf(w, "spans: %d   roots: %d   traced wall: %s\n",
 		len(t.Spans), len(t.Roots), obsfile.FormatUS(t.WallUS()))
-	if t.IsMerged() {
-		fmt.Fprintf(w, "merged trace: %d ranks, %d matched flows, max residual skew %s\n",
-			t.Meta.RankCount, len(t.Flows), obsfile.FormatUS(float64(t.Meta.MaxResidualNS)/1e3))
-	}
 	if t.Truncated {
-		fmt.Fprintln(w, "note: log was cut mid-record (writer killed past teardown grace); trailing data dropped")
+		fmt.Fprintln(w, "note: log was cut mid-record (writer killed mid-run); trailing data dropped")
 	}
 
 	phases := t.Phases()
@@ -316,21 +252,12 @@ func report(w io.Writer, t *obsfile.Trace, top int) {
 	}
 
 	if colls := t.Collectives(); len(colls) > 0 {
-		fmt.Fprintf(w, "\n-- collectives: modeled vs measured --\n")
-		rows := [][]string{{"op", "modeled_s", "measured_s", "measured_ops"}}
+		fmt.Fprintf(w, "\n-- collectives: modeled communication --\n")
+		rows := [][]string{{"op", "modeled_s"}}
 		for _, c := range colls {
-			meas, ops := "-", "-"
-			if c.MeasuredOps > 0 {
-				meas = fmt.Sprintf("%.6f", c.MeasuredSeconds)
-				ops = fmt.Sprintf("%d", c.MeasuredOps)
-			}
-			rows = append(rows, []string{c.Op, fmt.Sprintf("%.6f", c.ModeledSeconds), meas, ops})
+			rows = append(rows, []string{c.Op, fmt.Sprintf("%.6f", c.ModeledSeconds)})
 		}
 		writeTable(w, rows)
-	}
-
-	if t.IsMerged() {
-		reportMerged(w, t)
 	}
 
 	if len(t.Metrics) > 0 {
@@ -347,80 +274,6 @@ func report(w io.Writer, t *obsfile.Trace, top int) {
 				det = "yes"
 			}
 			rows = append(rows, []string{n, fmt.Sprintf("%g", t.Metrics[n]), det})
-		}
-		writeTable(w, rows)
-	}
-}
-
-// reportMerged prints the multi-rank sections of a merged trace:
-// per-rank utilization over the shared window, per-rank measured comm
-// against the driver's modeled charges, matched flow pairs per op, and
-// the cross-rank critical path.
-func reportMerged(w io.Writer, t *obsfile.Trace) {
-	if utils := t.RankUtilization(); len(utils) > 0 {
-		fmt.Fprintf(w, "\n-- per-rank utilization (merged, shared window) --\n")
-		rows := [][]string{{"rank", "spans", "compute_s", "comm_s", "idle_s", "wall_s", "comm%"}}
-		for _, u := range utils {
-			pct := 0.0
-			if u.WallS > 0 {
-				pct = 100 * u.CommS / u.WallS
-			}
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", u.Rank), fmt.Sprintf("%d", u.Spans),
-				fmt.Sprintf("%.6f", u.ComputeS), fmt.Sprintf("%.6f", u.CommS),
-				fmt.Sprintf("%.6f", u.IdleS), fmt.Sprintf("%.6f", u.WallS),
-				fmt.Sprintf("%.1f", pct),
-			})
-		}
-		writeTable(w, rows)
-	}
-
-	if ops := t.RankMeasuredOps(); len(ops) > 0 {
-		fmt.Fprintf(w, "\n-- per-rank measured vs modeled --\n")
-		rows := [][]string{{"rank", "op", "measured_s", "measured_ops", "modeled_s"}}
-		for _, r := range ops {
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", r.Rank), r.Op,
-				fmt.Sprintf("%.6f", r.SecondsM), fmt.Sprintf("%d", r.Ops),
-				fmt.Sprintf("%.6f", r.ModeledS),
-			})
-		}
-		writeTable(w, rows)
-	}
-
-	if len(t.Flows) > 0 {
-		fmt.Fprintf(w, "\n-- matched comm flows --\n")
-		rows := [][]string{{"op", "pairs", "mean_latency"}}
-		for _, r := range obsfile.FlowsByOp(t) {
-			rows = append(rows, []string{
-				r.Op, fmt.Sprintf("%d", r.Pairs), obsfile.FormatUS(r.MeanLatencyUS),
-			})
-		}
-		writeTable(w, rows)
-	}
-
-	if cp := t.CrossRankCriticalPath(); cp != nil {
-		fmt.Fprintf(w, "\n-- cross-rank critical path: %s over %d hops --\n",
-			obsfile.FormatUS(cp.TotalUS), len(cp.Steps))
-		rows := [][]string{{"rank", "span", "op", "dur", "end", "edge"}}
-		const maxSteps = 40
-		for i, st := range cp.Steps {
-			if i == maxSteps {
-				rows = append(rows, []string{fmt.Sprintf("... %d more hops", len(cp.Steps)-maxSteps), "", "", "", "", ""})
-				break
-			}
-			op, _ := st.Span.Attrs["op"].(string)
-			edge := "serial"
-			if st.CrossRank {
-				edge = "cross-rank"
-			}
-			if i == 0 {
-				edge = "-"
-			}
-			rows = append(rows, []string{
-				fmt.Sprintf("%d", st.Rank), st.Span.Name, op,
-				obsfile.FormatUS(st.Span.DurUS), obsfile.FormatUS(st.Span.EndUS()), edge,
-			})
 		}
 		writeTable(w, rows)
 	}
@@ -488,23 +341,10 @@ commands:
   report [-top k] [-json] [-o file] trace.jsonl
       Analyze a -metrics/-trace JSON-lines log: per-phase summary,
       top-k spans (inclusive, exclusive, flops), critical path with
-      slack, modeled per-rank utilization, per-collective modeled vs
-      measured communication time (real transports), final counters.
-      On a merged multi-rank trace (koala-obs merge) additionally:
-      per-rank compute/comm/idle utilization, per-rank measured vs
-      modeled comm, matched flow pairs, cross-rank critical path.
-      -json emits the same report as one machine-readable document;
-      -o writes it to a file instead of stdout.
-
-  merge [-o merged.jsonl] [-chrome trace.json] dir
-      Fold a -rank-trace directory (rank<N>.jsonl per process plus
-      manifest.json with clock offsets) into one skew-corrected
-      multi-rank trace: timestamps aligned via the NTP-style sync-ping
-      offsets, send/recv spans paired into flow events on the wire key
-      (op, seq, step, from, to). Prints matched pairs per op, missing
-      ranks, and the max residual clock skew. -chrome also writes a
-      Chrome trace_event file with one process track per rank and
-      flow arrows for matched pairs.
+      slack, modeled per-rank utilization, per-collective modeled
+      communication time, final counters. -json emits the same report
+      as one machine-readable document; -o writes it to a file instead
+      of stdout.
 
   diff [-o file] a.jsonl b.jsonl
       Compare the deterministic fields of two logs; exit 1 when they
@@ -514,10 +354,9 @@ commands:
       Attach to a running command's -listen telemetry plane. Polls
       /metrics (validated Prometheus text) and /healthz, follows the
       /events SSE stream, and redraws a live progress/convergence
-      view; multi-rank drivers additionally show a per-rank liveness
-      and clock-offset grid. -once takes a single validated snapshot
-      and exits (nonzero when unreachable or the exposition is
-      malformed); -json emits snapshots as JSON.
+      view. -once takes a single validated snapshot and exits (nonzero
+      when unreachable or the exposition is malformed); -json emits
+      snapshots as JSON.
 
 exit codes: 0 ok, 1 analysis failure/mismatch, 2 bad usage`)
 }

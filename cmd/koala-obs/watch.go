@@ -226,7 +226,6 @@ func render(w io.Writer, snap *watchSnapshot, clear bool) {
 		{"sym sectors", "koala_einsum_sym_sectors"},
 		{"sym state bytes", "koala_peps_sym_state_bytes"},
 		{"modeled comm s", "koala_dist_modeled_comm_seconds"},
-		{"measured comm s", "koala_dist_measured_comm_seconds"},
 		{"goroutines", "koala_go_goroutines"},
 	} {
 		if v, ok := snap.Metrics[m.name]; ok {
@@ -239,13 +238,6 @@ func render(w io.Writer, snap *watchSnapshot, clear bool) {
 	}
 	for _, r := range rows {
 		fmt.Fprintf(&b, "  %-18s %s\n", r[0], r[1])
-	}
-
-	if grid := rankGrid(snap); len(grid) > 0 {
-		fmt.Fprintf(&b, "\n  ranks\n")
-		for _, l := range grid {
-			fmt.Fprintf(&b, "    %s\n", l)
-		}
 	}
 
 	if bars := histBars(snap.Metrics, "koala_peps_bond_dim_hist_bucket"); len(bars) > 0 {
@@ -349,96 +341,6 @@ func histBars(metrics map[string]float64, bucketName string) []string {
 }
 
 const maxFloat = 1.797693134862315708145274237317043567981e308
-
-// rankGrid renders the per-rank fleet view of a multi-rank driver: one
-// line per rank with liveness, clock offset and sync-ping rtt, measured
-// collective count and comm seconds (from the rank-labeled
-// koala_dist_rank_* series), and the /healthz heartbeat age. Empty for
-// single-process runs.
-func rankGrid(snap *watchSnapshot) []string {
-	type row struct {
-		up            float64
-		haveUp        bool
-		offsetNS, rtt float64
-		ops, commS    float64
-	}
-	rows := map[int]*row{}
-	get := func(r int) *row {
-		if rows[r] == nil {
-			rows[r] = &row{}
-		}
-		return rows[r]
-	}
-	for key, v := range snap.Metrics {
-		name, labels := splitKey(key)
-		if !strings.HasPrefix(name, "koala_dist_rank_") {
-			continue
-		}
-		rs, ok := labelValue(labels, "rank")
-		if !ok {
-			continue
-		}
-		n, err := strconv.Atoi(rs)
-		if err != nil {
-			continue
-		}
-		r := get(n)
-		switch name {
-		case "koala_dist_rank_up":
-			r.up, r.haveUp = v, true
-		case "koala_dist_rank_clock_offset_ns":
-			r.offsetNS = v
-		case "koala_dist_rank_rtt_ns":
-			r.rtt = v
-		case "koala_dist_rank_measured_ops":
-			r.ops = v
-		case "koala_dist_rank_measured_comm_seconds":
-			r.commS = v
-		}
-	}
-	ageOf := map[int]string{}
-	for _, h := range snap.Health.Ranks {
-		r := get(h.Rank)
-		if !r.haveUp {
-			r.haveUp = true
-			if h.Up {
-				r.up = 1
-			}
-		}
-		ageOf[h.Rank] = fmt.Sprintf("%.1fs", h.LastHeartbeatAgeSeconds)
-		if !h.Up {
-			r.up = 0
-		}
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	ranks := make([]int, 0, len(rows))
-	for n := range rows {
-		ranks = append(ranks, n)
-	}
-	sort.Ints(ranks)
-	out := []string{fmt.Sprintf("%-5s %-5s %10s %10s %7s %10s %7s",
-		"rank", "state", "offset", "rtt", "ops", "comm_s", "hb_age")}
-	for _, n := range ranks {
-		r := rows[n]
-		state := "?"
-		if r.haveUp {
-			if r.up > 0 {
-				state = "up"
-			} else {
-				state = "DOWN"
-			}
-		}
-		age := ageOf[n]
-		if age == "" {
-			age = "-"
-		}
-		out = append(out, fmt.Sprintf("%-5d %-5s %9.1fu %9.1fu %7.0f %10.4f %7s",
-			n, state, r.offsetNS/1e3, r.rtt/1e3, r.ops, r.commS, age))
-	}
-	return out
-}
 
 func eventFields(ev telemetry.Event) string {
 	keys := make([]string, 0, len(ev.Fields))

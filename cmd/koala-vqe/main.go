@@ -27,7 +27,6 @@ import (
 )
 
 func main() {
-	cliutil.MaybeRankMode()
 	rows := flag.Int("rows", 3, "lattice rows")
 	cols := flag.Int("cols", 3, "lattice columns")
 	layers := flag.Int("layers", 2, "ansatz layers")

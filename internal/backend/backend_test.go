@@ -13,8 +13,6 @@ import (
 func engines() map[string]Engine {
 	return map[string]Engine{
 		"dense":            NewDense(),
-		"threaded":         NewThreaded(),
-		"threaded-4":       &Threaded{Workers: 4},
 		"dist":             NewDist(dist.NewGrid(dist.Stampede2(8)), false),
 		"dist-gram":        NewDist(dist.NewGrid(dist.Stampede2(8)), true),
 		"dist-gram-locsvd": &Dist{Grid: dist.NewGrid(dist.Stampede2(8)), UseGram: true, LocalSVD: true},
@@ -154,26 +152,5 @@ func TestEngineNames(t *testing.T) {
 	local := &Dist{Grid: g, UseGram: true, LocalSVD: true}
 	if local.Name() != "dist-local-gram-qr-svd" {
 		t.Fatal("local svd name")
-	}
-}
-
-func TestThreadedMatchesDenseOnLargeGEMM(t *testing.T) {
-	// Force the parallel path (work above the inline threshold).
-	rng := rand.New(rand.NewSource(9))
-	th := &Threaded{Workers: 4}
-	a := tensor.Rand(rng, 8, 64, 64)
-	b := tensor.Rand(rng, 8, 64, 64)
-	want := tensor.BatchMatMul(a, b)
-	got := th.Einsum("bij,bjk->bik", a, b)
-	if !tensor.AllClose(got, want, 1e-11, 1e-11) {
-		t.Fatal("threaded batched GEMM differs from sequential")
-	}
-	// Row-split path: single large multiply.
-	c := tensor.Rand(rng, 300, 80)
-	d := tensor.Rand(rng, 80, 90)
-	wantM := tensor.MatMul(c, d)
-	gotM := th.Einsum("ij,jk->ik", c, d)
-	if !tensor.AllClose(gotM, wantM, 1e-11, 1e-11) {
-		t.Fatal("threaded row-split GEMM differs from sequential")
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"gokoala/internal/tensor"
 )
 
-// threadedBMPSSequence mirrors internal/einsum's BMPS-shaped repeated
-// contraction sequence, driven through the threaded engine so the
-// worker dispatch and in-place GEMM paths are on the measured path.
-var threadedBMPSSequence = []struct {
+// denseBMPSSequence mirrors internal/einsum's BMPS-shaped repeated
+// contraction sequence, driven through the dense engine so the kernels'
+// pool-wide row splitting and in-place GEMM paths are on the measured
+// path.
+var denseBMPSSequence = []struct {
 	spec   string
 	shapes [][]int
 }{
@@ -20,11 +21,11 @@ var threadedBMPSSequence = []struct {
 	{"kb,bpc->kpc", [][]int{{8, 8}, {8, 2, 8}}},
 }
 
-func BenchmarkThreadedBMPSSequence(b *testing.B) {
+func BenchmarkDenseBMPSSequence(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	eng := NewThreaded()
-	ops := make([][]*tensor.Dense, len(threadedBMPSSequence))
-	for i, s := range threadedBMPSSequence {
+	eng := NewDense()
+	ops := make([][]*tensor.Dense, len(denseBMPSSequence))
+	for i, s := range denseBMPSSequence {
 		ops[i] = make([]*tensor.Dense, len(s.shapes))
 		for j, sh := range s.shapes {
 			ops[i][j] = tensor.Rand(rng, sh...)
@@ -33,17 +34,17 @@ func BenchmarkThreadedBMPSSequence(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j, s := range threadedBMPSSequence {
+		for j, s := range denseBMPSSequence {
 			eng.Einsum(s.spec, ops[j]...)
 		}
 	}
 }
 
-// BenchmarkThreadedBatchGEMM exercises the engine's batched multiply
-// partitioning on a mid-sized workload.
-func BenchmarkThreadedBatchGEMM(b *testing.B) {
+// BenchmarkDenseBatchGEMM exercises the batched multiply's row
+// partitioning over the worker pool on a mid-sized workload.
+func BenchmarkDenseBatchGEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
-	eng := NewThreaded()
+	eng := NewDense()
 	x := tensor.Rand(rng, 8, 64, 64)
 	y := tensor.Rand(rng, 8, 64, 64)
 	b.ResetTimer()

@@ -156,36 +156,14 @@ func evolutionWorkload(eng backend.Engine, seed int64, n, bond int, opts peps.Up
 // collection.
 func denseEngine() backend.Engine { return backend.Instrument(backend.NewDense()) }
 
-// benchTransport is an optional real collective transport (koala-bench
-// -transport unix|tcp) attached to every grid whose rank count matches
-// the transport's process count. Modeled stats are unchanged by the
-// attachment; the grids additionally record measured wall clock. One
-// transport serves all grids and suite reruns (collectives serialize on
-// it, exactly like operations on one MPI communicator).
-var benchTransport dist.Transport
-
-// SetTransport installs the transport future grids attach to; nil
-// restores the in-process default. Call before running suites.
-func SetTransport(t dist.Transport) { benchTransport = t }
-
-// attachTransport hooks the shared bench transport onto a grid when the
-// rank counts line up (a fig7b grid of 1024 modeled ranks stays
-// modeled-only under a 4-process transport).
-func attachTransport(g *dist.Grid, ranks int) *dist.Grid {
-	if benchTransport != nil && benchTransport.Ranks() == ranks {
-		g.SetTransport(benchTransport)
-	}
-	return g
-}
-
 // engineSet returns the named engines of the evolution benchmarks
 // (paper Figure 7): the dense (NumPy-analog) engine and the three
 // Cyclops-analog variants, each with its own grid so modeled costs are
 // attributable. All engines carry obs instrumentation.
 func engineSet(ranks int) (map[string]backend.Engine, map[string]*dist.Grid) {
-	g1 := attachTransport(dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-qr-svd"), ranks)
-	g2 := attachTransport(dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-local-gram-qr"), ranks)
-	g3 := attachTransport(dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-local-gram-qr-svd"), ranks)
+	g1 := dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-qr-svd")
+	g2 := dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-local-gram-qr")
+	g3 := dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-local-gram-qr-svd")
 	engines := map[string]backend.Engine{
 		"dense-qr-svd":           denseEngine(),
 		"dist-qr-svd":            backend.Instrument(backend.NewDist(g1, false)),

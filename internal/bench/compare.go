@@ -90,7 +90,16 @@ func CompareSuite(base, got SuiteResult) []Violation {
 	// Sym-suite details gate like the other deterministic metrics: the
 	// executed and dense-equivalent GEMM flops are exact functions of the
 	// configuration, and a model that passed acceptance must keep passing.
-	if base.Sym != nil && got.Sym != nil {
+	// A fresh run that drops the detail a baseline carries fails outright.
+	switch {
+	case base.Sym == nil:
+	case got.Sym == nil:
+		out = append(out, Violation{
+			Suite: got.Suite, Metric: "sym",
+			Base: float64(len(base.Sym.Models)), Got: 0,
+			Reason: "sym detail missing from fresh run",
+		})
+	default:
 		byModel := make(map[string]SymModelResult, len(got.Sym.Models))
 		for _, m := range got.Sym.Models {
 			byModel[m.Model] = m

@@ -31,6 +31,9 @@ func TestCompareIdenticalPasses(t *testing.T) {
 	if v := violationsFor(t, func(*SuiteResult) {}); len(v) != 0 {
 		t.Fatalf("identical results must pass, got %v", v)
 	}
+	if v := symViolations(func(*SuiteResult) {}); len(v) != 0 {
+		t.Fatalf("identical sym details must pass, got %v", v)
+	}
 }
 
 func TestCompareFlopsDrift(t *testing.T) {
@@ -123,5 +126,58 @@ func TestViolationString(t *testing.T) {
 		if !strings.Contains(s, part) {
 			t.Fatalf("violation string %q missing %q", s, part)
 		}
+	}
+}
+
+// symResult is baseResult carrying a two-model sym detail, both models
+// passing acceptance.
+func symResult() SuiteResult {
+	r := baseResult()
+	r.Sym = &SymSuiteDetail{Models: []SymModelResult{
+		{Model: "tfi-dual-z2", SymGEMMFlops: 1000, SymDenseEquivFlops: 4000, Pass: true},
+		{Model: "j1j2-u1", SymGEMMFlops: 2000, SymDenseEquivFlops: 16000, Pass: true},
+	}}
+	return r
+}
+
+func symViolations(mutate func(*SuiteResult)) []Violation {
+	got := symResult()
+	mutate(&got)
+	return CompareSuite(symResult(), got)
+}
+
+func TestCompareSymModelMissing(t *testing.T) {
+	v := symViolations(func(r *SuiteResult) { r.Sym.Models = r.Sym.Models[:1] })
+	if len(v) != 1 || v[0].Metric != "sym.j1j2-u1" || v[0].Reason != "model missing from fresh run" {
+		t.Fatalf("a model missing from the fresh run must give one violation: %v", v)
+	}
+}
+
+func TestCompareSymGEMMFlopsDrift(t *testing.T) {
+	if v := symViolations(func(r *SuiteResult) { r.Sym.Models[0].SymGEMMFlops = 1005 }); len(v) != 0 {
+		t.Fatalf("0.5%% sym gemm_flops drift should pass: %v", v)
+	}
+	v := symViolations(func(r *SuiteResult) { r.Sym.Models[0].SymGEMMFlops = 1020 })
+	if len(v) != 1 || v[0].Metric != "sym.tfi-dual-z2.gemm_flops" {
+		t.Fatalf("2%% sym gemm_flops drift must give one violation: %v", v)
+	}
+}
+
+func TestCompareSymVerdictRegressed(t *testing.T) {
+	v := symViolations(func(r *SuiteResult) { r.Sym.Models[1].Pass = false })
+	if len(v) != 1 || v[0].Metric != "sym.j1j2-u1.pass" {
+		t.Fatalf("a pass -> fail verdict must give one violation: %v", v)
+	}
+}
+
+func TestCompareSymDetailMissing(t *testing.T) {
+	v := symViolations(func(r *SuiteResult) { r.Sym = nil })
+	if len(v) != 1 || v[0].Metric != "sym" || v[0].Reason != "sym detail missing from fresh run" {
+		t.Fatalf("a fresh run without the baseline's sym detail must give one violation: %v", v)
+	}
+	// A baseline without sym detail gates nothing about it.
+	got := symResult()
+	if v := CompareSuite(baseResult(), got); len(v) != 0 {
+		t.Fatalf("sym detail absent from the baseline must not gate: %v", v)
 	}
 }

@@ -50,7 +50,7 @@ func ExperimentFig8(w io.Writer, cfg Fig8Config, dense bool) {
 		grid *dist.Grid
 	}
 	mkEngines := func() []engineRow {
-		grid := attachTransport(dist.NewGrid(dist.Stampede2(cfg.Ranks)).SetLabel("dist-gram"), cfg.Ranks)
+		grid := dist.NewGrid(dist.Stampede2(cfg.Ranks)).SetLabel("dist-gram")
 		rows := []engineRow{}
 		if dense {
 			rows = append(rows, engineRow{"dense", denseEngine(), nil})

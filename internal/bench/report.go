@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"gokoala/internal/dist"
 	"gokoala/internal/einsum"
 	"gokoala/internal/health"
 	"gokoala/internal/obs"
@@ -64,7 +63,7 @@ type SuiteResult struct {
 	// goroutine or inline, unlike the scheduling-dependent split above.
 	TaskCount int64 `json:"task_count"`
 	// PeakBytes is the high-water mark of tracked scratch memory
-	// (einsum frame pools, threaded-kernel output staging) during the
+	// (einsum frame pools and plan outputs) during the
 	// suite. Wall-clock-like: it depends on scheduling, so it is
 	// reported but never gated.
 	PeakBytes int64 `json:"peak_bytes"`
@@ -78,12 +77,6 @@ type SuiteResult struct {
 	// wall-clock it is reported for context and never gated by
 	// CompareSuite.
 	Kernel *KernelInfo `json:"kernel,omitempty"`
-	// Ranks carries the per-rank measured comm stats of a real-transport
-	// run (-transport unix|tcp): per-process measured wall clock per
-	// collective plus the clock-offset estimates from the sync pings.
-	// Like wall-clock it is machine-dependent and never gated by
-	// CompareSuite; nil for inproc runs.
-	Ranks []dist.RankStat `json:"ranks,omitempty"`
 }
 
 // KernelInfo is the per-suite snapshot of the compute-kernel dispatch:
@@ -167,9 +160,6 @@ func CollectSuiteMetrics(res *SuiteResult) {
 		GramFallbacks:      health.GramFallbacks(),
 		Nonconverged:       health.Nonconverged(),
 		CheckpointFailures: health.CheckpointFailures(),
-	}
-	if rs, ok := benchTransport.(dist.RankStatser); ok {
-		res.Ranks = rs.RankStats()
 	}
 }
 

@@ -74,6 +74,13 @@ func ParseSym(s string) (enabled bool, mod int, err error) {
 	return false, 0, fmt.Errorf("cliutil: unknown symmetry %q (want u1|z2|none)", s)
 }
 
+// RanksFlag registers the standard -ranks flag: the rank count of the
+// modeled SPMD grid for engines that take one. 0 keeps each suite's own
+// default.
+func RanksFlag() *int {
+	return flag.Int("ranks", 0, "ranks of the modeled SPMD grid for dist engines (0 = suite default)")
+}
+
 // WorkersFlag registers the standard -workers flag. Call ApplyWorkers
 // with its value after flag.Parse.
 func WorkersFlag() *int {

@@ -11,13 +11,11 @@ import (
 // Satellite coverage for the collective metering identities the cost
 // model promises (paper Table/§V): single-rank no-ops, the allreduce
 // recursive-halving/doubling charge, and the alltoall message count and
-// redistribution accounting. The cross-transport half of these
-// identities (socket transport must leave modeled stats bit-identical)
-// lives in internal/dist/net.
+// redistribution accounting.
 
 // Every collective at Ranks<=1 must be a strict no-op: not just "free"
-// but zero across the entire Stats struct, including measured fields
-// and redistribution counts, and it must never touch a transport.
+// but zero across the entire Stats struct, redistribution counts
+// included.
 func TestCollectivesStrictNoOpAtOneRank(t *testing.T) {
 	collectives := map[string]func(*Grid){
 		"bcast":     func(g *Grid) { g.Bcast(1 << 20) },
@@ -28,28 +26,14 @@ func TestCollectivesStrictNoOpAtOneRank(t *testing.T) {
 	}
 	for name, call := range collectives {
 		t.Run(name, func(t *testing.T) {
-			g := NewGrid(Stampede2(1)).SetTransport(failTransport{})
+			g := NewGrid(Stampede2(1))
 			call(g)
 			if s := g.Snapshot(); s != (Stats{}) {
 				t.Errorf("%s at ranks=1 left a nonzero snapshot: %+v", name, s)
 			}
-			if err := g.TransportError(); err != nil {
-				t.Errorf("%s at ranks=1 reached the transport: %v", name, err)
-			}
 		})
 	}
 }
-
-// failTransport fails every Run; attaching it proves a path never
-// realizes a collective.
-type failTransport struct{}
-
-func (failTransport) Name() string { return "fail" }
-func (failTransport) Ranks() int   { return 1 }
-func (failTransport) Run(op Op, totalBytes int64) (float64, error) {
-	panic("collective realized on a path that must not reach the transport")
-}
-func (failTransport) Close() error { return nil }
 
 // Allreduce charges 2*log2(P) messages and twice the allgather latency
 // and bandwidth of the same payload (recursive halving/doubling).
@@ -94,22 +78,6 @@ func TestAllToAllMeteringIdentity(t *testing.T) {
 		if s := g.Snapshot(); s.Redistributions != 2 {
 			t.Errorf("P=%d: second alltoall redistributions = %d, want 2", p, s.Redistributions)
 		}
-	}
-}
-
-// The in-process engine records no measured time: the measured side of
-// Stats exists only when a real transport is attached.
-func TestInProcessEngineRecordsNoMeasuredTime(t *testing.T) {
-	g := NewGrid(Stampede2(16))
-	g.Bcast(4096)
-	g.Allreduce(4096)
-	g.AllToAll(4096)
-	s := g.Snapshot()
-	if s.MeasuredOps != 0 || s.MeasuredCommSeconds != 0 {
-		t.Fatalf("in-process engine recorded measured time: %+v", s)
-	}
-	if s.ModeledOnly() != s {
-		t.Fatalf("ModeledOnly changed an in-process snapshot: %+v", s)
 	}
 }
 

@@ -80,33 +80,6 @@ func Enable(sinks ...Sink) {
 	enabled.Store(true)
 }
 
-// AddSink attaches one more sink to an already-enabled tracer without
-// resetting counters, the summary, or the trace origin — the way a
-// driver routes its own spans into a per-run rank-trace directory after
-// -trace/-metrics already installed their sinks. No-op while disabled.
-func AddSink(s Sink) {
-	if !enabled.Load() || s == nil {
-		return
-	}
-	tracer.mu.Lock()
-	tracer.sinks = append(tracer.sinks, s)
-	tracer.mu.Unlock()
-}
-
-// Origin returns the trace epoch: the wall-clock instant of the Enable
-// call that all span offsets are relative to. Zero while disabled.
-// Multi-process trace merging (obsfile.MergeRanks) aligns per-rank logs
-// by pairing each log's epoch with the measured inter-process clock
-// offset.
-func Origin() time.Time {
-	tracer.mu.Lock()
-	defer tracer.mu.Unlock()
-	if !enabled.Load() {
-		return time.Time{}
-	}
-	return tracer.origin
-}
-
 // Disable turns collection off and flushes and detaches the sinks,
 // returning the first flush error. Spans still open are dropped.
 func Disable() error {
@@ -387,13 +360,11 @@ func Flush() error {
 }
 
 // idAttrs name the numeric span attributes that identify a span rather
-// than measure it: worker lane, task and message sequence numbers, step,
-// lattice extent, and the sending and receiving rank of a message. A sum
-// of them means nothing, so the phase summary skips them; the sinks
-// still record them per span (koala-obs merge pairs flows by them).
+// than measure it: worker lane, task sequence number, step, and lattice
+// extent. A sum of them means nothing, so the phase summary skips them;
+// the sinks still record them per span.
 var idAttrs = map[string]bool{
-	"worker": true, "task": true, "seq": true, "step": true,
-	"rows": true, "cols": true, "from": true, "to": true,
+	"worker": true, "task": true, "step": true, "rows": true, "cols": true,
 }
 
 // phaseAgg accumulates the per-span-name summary.

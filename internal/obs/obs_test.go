@@ -137,27 +137,15 @@ func TestJSONLSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want 3 JSONL lines (meta, span, metrics), got %d: %q", len(lines), buf.String())
-	}
-	var meta struct {
-		Type        string `json:"type"`
-		Rank        int    `json:"rank"`
-		PID         int    `json:"pid"`
-		EpochUnixNS int64  `json:"epoch_unix_ns"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &meta); err != nil {
-		t.Fatalf("meta line not JSON: %v", err)
-	}
-	if meta.Type != "meta" || meta.Rank != -1 || meta.PID <= 0 || meta.EpochUnixNS <= 0 {
-		t.Fatalf("bad leading meta record: %+v", meta)
+	if len(lines) != 2 {
+		t.Fatalf("want 2 JSONL lines (span, metrics), got %d: %q", len(lines), buf.String())
 	}
 	var span struct {
 		Type  string                 `json:"type"`
 		Name  string                 `json:"name"`
 		Attrs map[string]interface{} `json:"attrs"`
 	}
-	if err := json.Unmarshal([]byte(lines[1]), &span); err != nil {
+	if err := json.Unmarshal([]byte(lines[0]), &span); err != nil {
 		t.Fatalf("span line not JSON: %v", err)
 	}
 	if span.Type != "span" || span.Name != "phase.a" || span.Attrs["spec"] != "ab,bc->ac" {
@@ -167,7 +155,7 @@ func TestJSONLSink(t *testing.T) {
 		Type    string             `json:"type"`
 		Metrics map[string]float64 `json:"metrics"`
 	}
-	if err := json.Unmarshal([]byte(lines[2]), &metrics); err != nil {
+	if err := json.Unmarshal([]byte(lines[1]), &metrics); err != nil {
 		t.Fatalf("metrics line not JSON: %v", err)
 	}
 	if metrics.Metrics["test.jsonl.counter"] != 9 {
@@ -333,9 +321,9 @@ func BenchmarkActiveObserve(b *testing.B) {
 }
 
 // TestSummarySkipsIdentifierAttrs: identifier attributes (worker lane,
-// task and message sequence numbers, step, lattice extent, message
-// endpoints) are kept per span by the sinks but never summed into the
-// phase summary, where a total of ids is meaningless; measures still are.
+// task sequence number, step, lattice extent) are kept per span by the
+// sinks but never summed into the phase summary, where a total of ids
+// is meaningless; measures still are.
 func TestSummarySkipsIdentifierAttrs(t *testing.T) {
 	cleanup()
 	var buf bytes.Buffer
@@ -343,7 +331,7 @@ func TestSummarySkipsIdentifierAttrs(t *testing.T) {
 	defer cleanup()
 	for i := 0; i < 3; i++ {
 		sp := Start("task.body")
-		for _, k := range []string{"worker", "task", "seq", "step", "rows", "cols", "from", "to"} {
+		for _, k := range []string{"worker", "task", "step", "rows", "cols"} {
 			sp.SetInt(k, int64(100+i))
 		}
 		sp.SetInt("flops", 10).SetFloat("modeled_s", 0.5)

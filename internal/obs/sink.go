@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 )
 
@@ -89,39 +88,16 @@ func attrMap(attrs []Attr) map[string]interface{} {
 // "offset_us":...,"dur_us":...,"depth":...,"track":...,"attrs":{...}}.
 // Rank timelines append {"type":"rank"} records, and Flush appends a
 // {"type":"metrics"} record with the current counter snapshot, so a
-// finished log carries the run's totals. The first record is preceded by
-// a {"type":"meta"} line identifying the writing process (rank, pid) and
-// its trace epoch (Origin, unix ns) — the anchor obsfile.MergeRanks
-// needs to put several processes' logs on one clock. This is the format
+// finished log carries the run's totals. This is the format
 // cmd/koala-obs (internal/obsfile) reads back.
 type JSONLSink struct {
-	mu       sync.Mutex
-	w        io.Writer
-	err      error
-	rank     int
-	metaDone bool
+	mu  sync.Mutex
+	w   io.Writer
+	err error
 }
 
 // NewJSONLSink returns a JSONL sink writing to w.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w, rank: -1} }
-
-// SetRank tags the log with the writing process's dist rank, making the
-// leading meta record carry it (rank-trace directories name files
-// rank<N>.jsonl and the merger cross-checks the tag). Call before the
-// first span ends; untagged sinks write rank -1 (single-process trace).
-func (s *JSONLSink) SetRank(rank int) {
-	s.mu.Lock()
-	s.rank = rank
-	s.mu.Unlock()
-}
-
-// jsonlMeta is the leading record identifying the writing process.
-type jsonlMeta struct {
-	Type        string `json:"type"`
-	Rank        int    `json:"rank"`
-	PID         int    `json:"pid"`
-	EpochUnixNS int64  `json:"epoch_unix_ns"`
-}
+func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: w} }
 
 type jsonlSpan struct {
 	Type     string                 `json:"type"`
@@ -135,24 +111,10 @@ type jsonlSpan struct {
 	Attrs    map[string]interface{} `json:"attrs,omitempty"`
 }
 
-// writeRecord marshals and writes one JSONL record under the lock,
-// lazily emitting the meta line first. Lazy because the epoch is the
-// tracer origin, and a sink may be constructed before (or attached
-// after) Enable sets it; by the first record the tracer is live.
+// writeRecord marshals and writes one JSONL record; caller holds s.mu.
 func (s *JSONLSink) writeRecord(rec interface{}) {
 	if s.err != nil {
 		return
-	}
-	if !s.metaDone {
-		s.metaDone = true
-		var epoch int64
-		if o := Origin(); !o.IsZero() {
-			epoch = o.UnixNano()
-		}
-		s.writeRecord(jsonlMeta{Type: "meta", Rank: s.rank, PID: os.Getpid(), EpochUnixNS: epoch})
-		if s.err != nil {
-			return
-		}
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {

@@ -132,17 +132,7 @@ func TestJSONLRankRoundTrip(t *testing.T) {
 		Type string `json:"type"`
 		RankRecord
 	}
-	line, err := buf.ReadBytes('\n') // leading writer-identity meta record
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(line, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != "meta" {
-		t.Fatalf("leading record type %q, want meta", got.Type)
-	}
-	line, err = buf.ReadBytes('\n')
+	line, err := buf.ReadBytes('\n')
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package obsfile
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,10 +210,6 @@ func TestDeterministicMetricPredicate(t *testing.T) {
 		"pool.group.tasks", "pool.group.inline", "pool.tasks", "pool.inline",
 		"pool.queue_wait_seconds", "einsum.plan.hits", "einsum.plan.misses",
 		"mem.peak_bytes", "mem.live_bytes", "svd.trunc_error",
-		// Real-transport wall clock lives under the dist. prefix but must
-		// never be diffed or gated.
-		"dist.measured.comm_seconds", "dist.measured.allreduce_seconds",
-		"dist.measured.alltoall_ops", "dist.measured.comm_ops",
 	}
 	for _, n := range yes {
 		if !DeterministicMetric(n) {
@@ -223,5 +220,30 @@ func TestDeterministicMetricPredicate(t *testing.T) {
 		if DeterministicMetric(n) {
 			t.Fatalf("%s must not be gated/diffed", n)
 		}
+	}
+}
+
+func TestReadTruncatedFinalLine(t *testing.T) {
+	// The leading meta record is what older versions wrote first; the
+	// reader skips it.
+	log := `{"type":"meta","rank":2,"pid":9,"epoch_unix_ns":5}
+{"type":"span","name":"a","id":1,"offset_us":0,"dur_us":10}
+{"type":"span","name":"b","id":2,"offs`
+	tr, err := Read(strings.NewReader(log))
+	if err != nil {
+		t.Fatalf("truncated final line must not fail the read: %v", err)
+	}
+	if !tr.Truncated {
+		t.Fatal("Truncated flag not set")
+	}
+	if len(tr.Spans) != 1 || tr.Spans[0].Name != "a" {
+		t.Fatalf("intact prefix not preserved: %+v", tr.Spans)
+	}
+	// A malformed line with intact lines after it is still an error.
+	bad := `{"type":"span","name":"a","id":1,"offs
+{"type":"span","name":"b","id":2,"offset_us":0,"dur_us":1}
+`
+	if _, err := Read(strings.NewReader(bad)); err == nil {
+		t.Fatal("mid-file corruption must fail the read")
 	}
 }

@@ -38,15 +38,10 @@ type HealthStatus struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Component is the run info component name, when set.
 	Component string `json:"component,omitempty"`
-	// Ranks is the per-rank liveness of an attached multi-process
-	// transport (see RankHeartbeat/MarkRankDead); omitted for
-	// single-process runs.
-	Ranks []RankHealth `json:"ranks,omitempty"`
 }
 
 // CurrentHealth snapshots the health rollup: degraded when any NaN/Inf
-// detection or solver non-convergence has been counted, or when any
-// registered rank process is down.
+// detection or solver non-convergence has been counted.
 func CurrentHealth() HealthStatus {
 	st := HealthStatus{
 		Status: "ok",
@@ -61,12 +56,6 @@ func CurrentHealth() HealthStatus {
 	}
 	if st.Counters["nan_detected"] > 0 || st.Counters["nonconverged"] > 0 {
 		st.Status = "degraded"
-	}
-	st.Ranks = RankHealths()
-	for _, r := range st.Ranks {
-		if !r.Up {
-			st.Status = "degraded"
-		}
 	}
 	component, _, start := RunInfo()
 	st.Component = component

@@ -135,10 +135,10 @@ func Subscribe(buf int) (ch <-chan Event, replay []Event, cancel func()) {
 	}
 }
 
-// Reset clears every queued event, the run info, and the rank liveness
-// registry. Serve calls it so each run's scrape starts clean; tests use
-// it for isolation. Active subscribers are cancelled. Series and
-// histograms live in the obs registry and reset with obs.ResetCounters.
+// Reset clears every queued event and the run info. Serve calls it so
+// each run's scrape starts clean; tests use it for isolation. Active
+// subscribers are cancelled. Series and histograms live in the obs
+// registry and reset with obs.ResetCounters.
 func Reset() {
 	events.mu.Lock()
 	events.seq = 0
@@ -153,5 +153,4 @@ func Reset() {
 	runInfo.labels = nil
 	runInfo.start = time.Time{}
 	runInfo.mu.Unlock()
-	ResetRanks()
 }

@@ -124,34 +124,11 @@ func BatchMatMulInto(out, a, b *Dense) {
 	batchGEMM(out.data, a.data, b.data, bt, m, n, ka)
 }
 
-// BatchMatMulIntoMax is BatchMatMulInto with a cap on the number of
-// worker chunks (max <= 0 means the full pool); the Threaded engine's
-// Workers knob routes through it so a bounded split still makes one
-// kernel decision for the whole batch.
-func BatchMatMulIntoMax(max int, out, a, b *Dense) {
-	if a.Rank() != 3 || b.Rank() != 3 || out.Rank() != 3 {
-		panic(fmt.Sprintf("tensor: BatchMatMulIntoMax requires rank-3 operands, got %d, %d, %d", out.Rank(), a.Rank(), b.Rank()))
-	}
-	bt, m, ka := a.shape[0], a.shape[1], a.shape[2]
-	bt2, kb, n := b.shape[0], b.shape[1], b.shape[2]
-	if bt != bt2 || ka != kb {
-		panic(fmt.Sprintf("tensor: BatchMatMulIntoMax shape mismatch %v x %v", a.shape, b.shape))
-	}
-	if out.shape[0] != bt || out.shape[1] != m || out.shape[2] != n {
-		panic(fmt.Sprintf("tensor: BatchMatMulIntoMax output shape %v, want [%d %d %d]", out.shape, bt, m, n))
-	}
-	batchGEMMMax(max, out.data, a.data, b.data, bt, m, n, ka)
-}
-
 // batchGEMM runs bt independent m x n x k multiplies, splitting the
 // bt*m output rows over the worker pool with a flop-based grain so
 // small batches stay inline on the caller. Row ranges are disjoint, so
 // workers write the shared output without synchronization.
 func batchGEMM(c, a, b []complex128, bt, m, n, k int) {
-	batchGEMMMax(0, c, a, b, bt, m, n, k)
-}
-
-func batchGEMMMax(max int, c, a, b []complex128, bt, m, n, k int) {
 	// The asm-vs-streaming decision is made once on the full batch shape,
 	// not per chunk: chunk boundaries depend on the worker count (and can
 	// slice off partial matrices with very few rows), so deciding inside
@@ -165,7 +142,7 @@ func batchGEMMMax(max int, c, a, b []complex128, bt, m, n, k int) {
 	// unprofitable no smaller chunk re-enables asm inside gemm either).
 	asm := useAsm() && asmGemmProfitable(m, n, k)
 	grain := int(65536/(int64(n)*int64(k))) + 1
-	pool.ForMax(max, bt*m, grain, func(lo, hi int) {
+	pool.For(bt*m, grain, func(lo, hi int) {
 		for r := lo; r < hi; {
 			t, i := r/m, r%m
 			rows := min(m-i, hi-r)

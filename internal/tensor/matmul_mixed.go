@@ -76,7 +76,7 @@ func batchGEMMMixed(c, a, b []complex128, bt, m, n, k int) {
 	for i, v := range b[:len(b64)] {
 		b64[i] = complex64(v)
 	}
-	// One kernel decision on the full batch shape, as in batchGEMMMax:
+	// One kernel decision on the full batch shape, as in batchGEMM:
 	// per-chunk row counts depend on the worker split and must not flip
 	// which kernel (and rounding) serves a row.
 	asm := useAsm() && asmGemmProfitable(m, n, k)
