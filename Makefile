@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet check check-purego bench bench-smoke bench-sched bench-resume bench-compare telemetry-smoke sym-smoke clean
+.PHONY: all build test race vet check perfbench-check check-purego bench bench-smoke bench-sched bench-resume bench-compare telemetry-smoke sym-smoke clean
 
 all: check
 
@@ -26,7 +26,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-check: build vet test race
+check: build vet test race perfbench-check
+
+# The benchmark harness is a nested module (perfbench/go.mod), so
+# `go build ./...` and `go test ./...` at the root never compile it:
+# vet and test it on its own, so a change to the internal API it calls
+# fails here instead of in the benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Portable-kernel build: compile and test with the assembly excluded
 # (the build every non-amd64 / non-AVX2 target runs), plus the forced

@@ -20,7 +20,6 @@ import (
 	"gokoala/internal/backend"
 	"gokoala/internal/checkpoint"
 	"gokoala/internal/cliutil"
-	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/statevector"
 	"gokoala/internal/vqe"
@@ -34,7 +33,6 @@ func main() {
 	iters := flag.Int("iters", 50, "optimizer iterations per restart round")
 	restarts := flag.Int("restarts", 6, "Nelder-Mead restart rounds")
 	seed := cliutil.SeedFlag(1)
-	sym := cliutil.SymFlag()
 	jz := flag.Float64("jz", -1, "Ising coupling")
 	hx := flag.Float64("hx", -3.5, "transverse field")
 	healthFlag := cliutil.HealthFlag()
@@ -97,25 +95,6 @@ func main() {
 	}
 
 	a := vqe.Ansatz{Rows: *rows, Cols: *cols, Layers: *layers}
-	symOn, symMod, err := cliutil.ParseSym(*sym)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if symOn {
-		// Probe the ansatz at a generic parameter point: the hardware-
-		// efficient Ry/CX circuit does not conserve charge, so the run
-		// falls back to the dense path — the same whole-circuit check the
-		// symmetric ITE driver applies.
-		theta := make([]float64, a.NumParams())
-		for i := range theta {
-			theta[i] = 0.3
-		}
-		if _, ok := peps.SymTrotterGates(a.Gates(theta), symMod); ok {
-			fmt.Printf("symmetric backend: ansatz conserves the %s charge\n", *sym)
-		} else {
-			fmt.Printf("symmetric backend: ansatz gates do not conserve the %s charge; running dense\n", *sym)
-		}
-	}
 	res := vqe.Run(a, obs, vqe.Options{
 		Rank:            *r,
 		MaxIter:         *iters,

@@ -75,21 +75,12 @@ func (*Dense) EinsumMixed(spec string, ops ...*tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// RandSVD runs the implicit randomized SVD of paper Algorithm 4 using the
-// engine's orthogonalization kernel for the orthogonal-iteration steps.
-func RandSVD(e Engine, op linalg.Operator, rank int, nIter, oversample int, rng *rand.Rand) (*tensor.Dense, []float64, *tensor.Dense) {
-	return linalg.RandSVD(op, rank, linalg.RandSVDOptions{
-		NIter:      nIter,
-		Oversample: oversample,
-		Orth:       e.Orth,
-		Rng:        rng,
-	})
-}
-
-// RandSVDChecked is RandSVD plus the subspace-quality report from a
-// deterministic probe (see linalg.RandSVDReport): callers inspect
-// rep.Converged to decide whether the sketch resolved the operator well
-// enough or an exact fallback is warranted. probeTol <= 0 selects
+// RandSVDChecked runs the implicit randomized SVD of paper Algorithm 4,
+// using the engine's orthogonalization kernel for the orthogonal-iteration
+// steps, and returns the subspace-quality report of a deterministic probe
+// (see linalg.RandSVDReport): callers inspect rep.Converged to decide
+// whether the sketch resolved the operator well enough or an exact
+// fallback is warranted. probeTol <= 0 selects
 // health.DefaultSubspaceTol. sketch32 opts the sketch/power-iteration
 // stages into complex64 arithmetic for operators that support it (see
 // linalg.SketchApplier); the probe runs at full precision either way, so

@@ -94,14 +94,17 @@ func TestRandSVDThroughEngines(t *testing.T) {
 	c := tensor.Rand(rng, 3, 11)
 	a := tensor.MatMul(b, c)
 	for name, e := range engines() {
-		u, s, v := RandSVD(e, linalg.MatrixOperator{M: a}, 3, 2, 2, rng)
+		u, s, v, rep := RandSVDChecked(e, linalg.MatrixOperator{M: a}, 3, 2, 2, rng, 0, false)
+		if !rep.Converged {
+			t.Errorf("%s: probe residual %g on an exactly rank-3 matrix", name, rep.Residual)
+		}
 		sd := tensor.New(3, 3)
 		for i := 0; i < 3; i++ {
 			sd.Set(complex(s[i], 0), i, i)
 		}
 		back := tensor.MatMul(tensor.MatMul(u, sd), v.Conj().Transpose(1, 0))
 		if !tensor.AllClose(back, a, 1e-7, 1e-7) {
-			t.Errorf("%s: RandSVD failed to recover low-rank matrix", name)
+			t.Errorf("%s: RandSVDChecked failed to recover low-rank matrix", name)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package backend
 
 import (
-	"math"
-
 	"gokoala/internal/dist"
 	"gokoala/internal/einsum"
 	"gokoala/internal/health"
@@ -96,7 +94,7 @@ func (d *Dist) QRSplit(t *tensor.Dense, leftAxes int) (*tensor.Dense, *tensor.De
 		// of the small P factor, distributed Q = A P.
 		a := t.Reshape(rows, cols)
 		g := d.Grid.GramMatrix(a)
-		rmg, p, ok := gramFactors(g)
+		rmg, p, ok := linalg.GramFactors(g)
 		d.chargeGramFactors(cols)
 		if ok {
 			rm = rmg
@@ -127,53 +125,9 @@ func (d *Dist) QRSplit(t *tensor.Dense, leftAxes int) (*tensor.Dense, *tensor.De
 	return qm.Reshape(qShape...), rm.Reshape(rShape...)
 }
 
-// gramFactors computes, from the Gram matrix G = A*A, the Algorithm 5
-// factors R = sqrt(L) X* and P = X diag(1/sqrt(L)); the caller forms
-// Q = A P with a distributed GEMM. ok is false when the Gram spectrum
-// reveals κ² beyond health.Kappa2Max (the eigenvalues of G are the
-// squared singular values of A): the factors are then unusable and the
-// caller must degrade to direct QR.
-func gramFactors(g *tensor.Dense) (r, p *tensor.Dense, ok bool) {
-	w, x := linalg.EigH(g)
-	n := g.Dim(0)
-	if n > 0 && health.GramIllConditioned(w[n-1], w[0]) {
-		return nil, nil, false
-	}
-	wmax := 0.0
-	for _, v := range w {
-		if v > wmax {
-			wmax = v
-		}
-	}
-	if wmax == 0 {
-		wmax = 1
-	}
-	cutoff := 1e-24 * wmax
-	sq := tensor.New(n, n)
-	isq := tensor.New(n, n)
-	for i := 0; i < n; i++ {
-		wi := w[i]
-		if wi < 0 {
-			wi = 0
-		}
-		s := math.Sqrt(wi)
-		sq.Set(complex(s, 0), i, i)
-		if wi >= cutoff {
-			// Directions below the cutoff carry no range of A: drop them
-			// (zero column in Q) instead of amplifying rounding noise by
-			// 1/sqrt(w).
-			isq.Set(complex(1/s, 0), i, i)
-		}
-	}
-	xh := x.Conj().Transpose(1, 0)
-	r = tensor.MatMul(sq, xh)
-	p = tensor.MatMul(x, isq)
-	return r, p, true
-}
-
-// chargeGramFactors accounts the single-rank work of gramFactors on the
-// grid analytically — the n-by-n eigendecomposition plus the two n³
-// factor GEMMs — instead of measuring a global flop delta, which would
+// chargeGramFactors accounts the single-rank work of linalg.GramFactors
+// on the grid analytically — the n-by-n eigendecomposition plus the two
+// n³ factor GEMMs — instead of measuring a global flop delta, which would
 // attribute concurrent tasks' flops to this grid (and each other's) when
 // lattice task groups drive the same engine from several workers.
 func (d *Dist) chargeGramFactors(n int) {
@@ -204,7 +158,7 @@ func (d *Dist) TruncSVD(m *tensor.Dense, rank int) (*tensor.Dense, []float64, *t
 func (d *Dist) Orth(x *tensor.Dense) *tensor.Dense {
 	if d.UseGram {
 		g := d.Grid.GramMatrix(x)
-		_, p, ok := gramFactors(g)
+		_, p, ok := linalg.GramFactors(g)
 		d.chargeGramFactors(x.Dim(1))
 		if ok {
 			d.Grid.Bcast(int64(p.Size()) * bytesPerElem)

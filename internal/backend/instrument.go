@@ -59,9 +59,6 @@ func Instrument(e Engine) Engine {
 	return ie
 }
 
-// Unwrap returns the engine beneath the instrumentation.
-func (ie *Instrumented) Unwrap() Engine { return ie.inner }
-
 func (ie *Instrumented) Name() string { return ie.inner.Name() }
 
 // statsBefore snapshots the grid accounting when there is a grid.

@@ -6,9 +6,7 @@ import (
 
 // Bridge from the grid's alpha-beta-gamma accounting into the obs
 // metrics layer: every metered collective and flop credit also advances
-// the global dist.* counters (no-ops while obs is disabled), and
-// TraceRegion turns a Stats delta into span annotations so modeled
-// seconds appear next to measured seconds in traces and phase summaries.
+// the global dist.* counters (no-ops while obs is disabled).
 // The dist.* counters are deterministic: functions of the machine model
 // and the metered operation counts.
 var (
@@ -51,35 +49,4 @@ func observeComp(secs float64) {
 		return
 	}
 	obsCompSecs.Add(secs)
-}
-
-// AnnotateSpan attaches the Stats delta since before to the span: the
-// modeled wall seconds, their communication/computation split, and the
-// metered message/byte counts of the region.
-func (g *Grid) AnnotateSpan(sp *obs.Span, before Stats) {
-	if sp == nil {
-		return
-	}
-	d := g.Snapshot().Sub(before)
-	sp.SetFloat("modeled_s", d.ModeledSeconds())
-	sp.SetFloat("modeled_comm_s", d.CommSeconds())
-	sp.SetFloat("modeled_comp_s", d.CompSeconds)
-	sp.SetInt("comm_bytes", d.Bytes)
-	sp.SetInt("comm_msgs", d.Msgs)
-	sp.SetInt("redistributions", d.Redistributions)
-}
-
-// TraceRegion runs f inside a span named name, annotated with the grid's
-// machine-model delta for the region. While obs is disabled it just
-// calls f.
-func (g *Grid) TraceRegion(name string, f func()) {
-	if !obs.Enabled() {
-		f()
-		return
-	}
-	sp := obs.Start(name)
-	before := g.Snapshot()
-	f()
-	g.AnnotateSpan(sp, before)
-	sp.End()
 }

@@ -2,12 +2,10 @@ package dist
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"gokoala/internal/obs"
-	"gokoala/internal/tensor"
 )
 
 func TestStatsSub(t *testing.T) {
@@ -129,38 +127,5 @@ func TestObsBridgeConcurrent(t *testing.T) {
 	}
 	if got := obs.MetricValueOf("dist.modeled.comp_seconds"); math.Abs(got-s.CompSeconds) > 1e-9*math.Abs(s.CompSeconds) {
 		t.Fatalf("obs modeled comp seconds = %v want %v", got, s.CompSeconds)
-	}
-}
-
-// TestTraceRegion checks the span annotations produced from a Stats
-// delta, and that TraceRegion is transparent when obs is disabled.
-func TestTraceRegion(t *testing.T) {
-	g := NewGrid(Stampede2(64))
-	ran := false
-	g.TraceRegion("disabled", func() { ran = true })
-	if !ran {
-		t.Fatal("TraceRegion must run f while disabled")
-	}
-
-	obs.Enable()
-	defer obs.Disable()
-	rng := rand.New(rand.NewSource(1))
-	a := tensor.Rand(rng, 32, 8)
-	b := tensor.Rand(rng, 8, 16)
-	g.TraceRegion("dist.matmul", func() { g.MatMul(a, b) })
-	var stat obs.PhaseStat
-	for _, s := range obs.Summary() {
-		if s.Name == "dist.matmul" {
-			stat = s
-		}
-	}
-	if stat.Count != 1 {
-		t.Fatalf("span missing: %+v", obs.Summary())
-	}
-	if stat.Attrs["modeled_s"] <= 0 {
-		t.Fatalf("span has no modeled seconds: %+v", stat.Attrs)
-	}
-	if stat.Attrs["comm_bytes"] <= 0 {
-		t.Fatalf("span has no comm bytes: %+v", stat.Attrs)
 	}
 }

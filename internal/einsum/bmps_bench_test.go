@@ -11,7 +11,7 @@ import (
 // sequence of one BMPS sweep step at Figure 7a sizes (PEPS bond r = 4,
 // boundary bond m = 8, physical dimension 2): the double-layer site
 // merge, a boundary environment absorption, a QR-update recombination,
-// and an MPS canonicalization carry. A BMPS sweep evaluates these specs
+// and an MPS zip-up carry. A BMPS sweep evaluates these specs
 // over and over with the same operand shapes, which is exactly the
 // reuse the plan cache targets.
 var bmpsSequence = []struct {
@@ -24,7 +24,7 @@ var bmpsSequence = []struct {
 	{"ac,apqb,cpqd->bd", [][]int{{8, 8}, {8, 4, 4, 8}, {8, 4, 4, 8}}},
 	// QR-update recombination (peps.ApplyTwoSite, Algorithm 1).
 	{"abck,kin->abcni", [][]int{{4, 4, 4, 8}, {8, 2, 8}}},
-	// Canonicalization carry (mps.Canonicalize).
+	// Carry absorption into the next site (mps zip-up).
 	{"kb,bpc->kpc", [][]int{{8, 8}, {8, 2, 8}}},
 }
 

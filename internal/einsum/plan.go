@@ -464,9 +464,6 @@ func (p *Plan) initScratch() {
 	}
 }
 
-// Spec returns the einsum spec the plan was compiled from.
-func (p *Plan) Spec() string { return p.spec }
-
 // Cost returns the aggregate primitive-operation cost of one execution,
 // known at compile time since it depends only on shapes.
 func (p *Plan) Cost() Cost { return p.cost }

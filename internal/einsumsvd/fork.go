@@ -1,6 +1,9 @@
 package einsumsvd
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Reseed returns a copy of st whose random stream restarts from seed;
 // stateless strategies come back unchanged. Callers that reseed at known
@@ -21,10 +24,9 @@ func Reseed(st Strategy, seed int64) Strategy {
 // per task from its parent Rng, in task order, on the calling goroutine,
 // so the per-task random streams depend only on the parent stream's
 // position — never on scheduling — and parallel lattice algorithms stay
-// bit-identical across worker counts. A nil or stateless strategy
-// (Explicit) forks into shared copies. Fork returns nil for unknown
-// stateful strategies, signaling the caller to fall back to a
-// sequential path.
+// bit-identical across worker counts. A nil strategy forks into nils and
+// a stateless one (Explicit) into shared copies. Fork panics on any other
+// Strategy type: it cannot know how to split that type's state.
 func Fork(st Strategy, n int) []Strategy {
 	if n <= 0 {
 		return nil
@@ -48,5 +50,5 @@ func Fork(st Strategy, n int) []Strategy {
 		}
 		return out
 	}
-	return nil
+	panic(fmt.Sprintf("einsumsvd: Fork of unknown strategy type %T", st))
 }

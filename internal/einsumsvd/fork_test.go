@@ -2,6 +2,7 @@ package einsumsvd
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gokoala/internal/backend"
@@ -56,10 +57,13 @@ func TestForkImplicitRandDeterministic(t *testing.T) {
 	}
 }
 
-func TestForkUnknownStrategyIsNil(t *testing.T) {
-	if got := Fork(unknownStrategy{}, 2); got != nil {
-		t.Fatalf("Fork(unknown) = %v, want nil", got)
-	}
+func TestForkUnknownStrategyPanics(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "einsumsvd.unknownStrategy") {
+			t.Fatalf("Fork(unknown) panic = %q, want one naming the strategy type", msg)
+		}
+	}()
+	Fork(unknownStrategy{}, 2)
 }
 
 type unknownStrategy struct{}

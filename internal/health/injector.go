@@ -6,16 +6,14 @@ import (
 	"math/rand"
 	"sync"
 
-	"gokoala/internal/dist"
 	"gokoala/internal/tensor"
 )
 
 // Injector produces deterministic, seeded faults so tests can prove each
 // degradation path engages: NaN elements in tensors (exercising the
-// policy guards), checkpoint write failures (exercising atomic-write
-// crash safety), and perturbed machine-model speeds (exercising modeled
-// load imbalance). All methods are reproducible for a given seed and
-// call sequence.
+// policy guards) and checkpoint write failures (exercising atomic-write
+// crash safety). All methods are reproducible for a given seed and call
+// sequence.
 type Injector struct {
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -60,19 +58,4 @@ func (in *Injector) FailCheckpoints(n int) {
 		remaining--
 		return fmt.Errorf("health: injected checkpoint write fault (%d remaining)", remaining)
 	})
-}
-
-// PerturbGridSpeed scales one modeled machine parameter of g — the
-// per-flop time Gamma — by a seeded factor in [1, 1+maxFrac], modeling a
-// slow rank, and returns the applied factor. The grid's accumulated stats
-// are untouched; only future metering sees the slower machine.
-func (in *Injector) PerturbGridSpeed(g *dist.Grid, maxFrac float64) float64 {
-	if maxFrac < 0 {
-		maxFrac = 0
-	}
-	in.mu.Lock()
-	f := 1 + maxFrac*in.rng.Float64()
-	in.mu.Unlock()
-	g.Machine.Gamma *= f
-	return f
 }

@@ -1,52 +1,39 @@
 package linalg
 
 import (
-	"fmt"
 	"math"
 
 	"gokoala/internal/health"
 	"gokoala/internal/tensor"
 )
 
-// GramOrth orthonormalizes the columns of a tall m-by-n matrix A via the
-// reshape-avoiding Gram-matrix method of paper Algorithm 5:
+// GramFactors computes, from the Gram matrix G = A* A of a tall m-by-n
+// matrix A, the factors of the reshape-avoiding QR of paper Algorithm 5:
 //
-//	G = A* A              (n-by-n, small)
-//	G = X diag(w) X*      (Hermitian eigendecomposition)
+//	G = X diag(w) X*      (Hermitian eigendecomposition, n-by-n)
 //	R = sqrt(w) X*        so that A = Q R with
 //	P = X diag(1/sqrt(w)) and Q = A P
 //
-// Q has orthonormal columns spanning range(A) and R is n-by-n with
-// A = Q R (R is not triangular; for PEPS it only matters that it is a
-// small square factor). In distributed memory only the n-by-n Gram matrix
-// leaves the large distributed tensor, which is what removes the
-// distributed reshape bottleneck in the paper's Cyclops backend.
+// The caller forms Q = A P itself. Q has orthonormal columns spanning
+// range(A) and R is n-by-n (not triangular; for PEPS it only matters
+// that it is a small square factor). In distributed memory only the
+// n-by-n Gram matrix leaves the large distributed tensor, which is what
+// removes the distributed reshape bottleneck in the paper's Cyclops
+// backend.
 //
-// Eigenvalues below a relative cutoff are clamped so rank-deficient inputs
-// do not produce Inf/NaN. In null directions the Q columns degrade (the
-// Gram method squares the condition number — the method's known tradeoff,
-// accepted by the paper as well); full-rank inputs, which is what PEPS
-// site tensors are generically, are unaffected.
-func GramOrth(a *tensor.Dense) (q, r *tensor.Dense) {
-	if a.Rank() != 2 {
-		panic(fmt.Sprintf("linalg: GramOrth requires a matrix, got rank %d", a.Rank()))
-	}
-	n := a.Dim(1)
-	ah := a.Conj().Transpose(1, 0)
-	g := tensor.MatMul(ah, a)
+// The eigenvalues of G are the squared singular values of A, so
+// wmax/wmin estimates κ²(A). ok is false when that exceeds
+// health.Kappa2Max: the squared conditioning has destroyed the small
+// directions in double precision, the factors are unusable, and the
+// caller must degrade to Householder QR, which never squares κ.
+// Eigenvalues below a relative cutoff are dropped (zero column in Q)
+// so rank-deficient inputs do not produce Inf/NaN.
+func GramFactors(g *tensor.Dense) (r, p *tensor.Dense, ok bool) {
 	w, x := EigH(g)
-
-	// The Gram eigenvalues are the squared singular values of A, so
-	// wmax/wmin estimates κ²(A). Past health.Kappa2Max the squared
-	// conditioning has destroyed the small directions in double
-	// precision: degrade to Householder QR, which orthogonalizes A
-	// directly and never squares κ. Q and R keep the same shapes for
-	// tall inputs (k = n), so callers are unaffected beyond accuracy.
+	n := g.Dim(0)
 	if n > 0 && health.GramIllConditioned(w[n-1], w[0]) {
-		health.CountGramFallback()
-		return QR(a)
+		return nil, nil, false
 	}
-
 	wmax := 0.0
 	for _, v := range w {
 		if v > wmax {
@@ -57,7 +44,6 @@ func GramOrth(a *tensor.Dense) (q, r *tensor.Dense) {
 		wmax = 1
 	}
 	cutoff := 1e-24 * wmax
-
 	sq := tensor.New(n, n)  // diag(sqrt(w))
 	isq := tensor.New(n, n) // diag(1/sqrt(w)), zero for dropped directions
 	for i := 0; i < n; i++ {
@@ -69,38 +55,12 @@ func GramOrth(a *tensor.Dense) (q, r *tensor.Dense) {
 		sq.Set(complex(s, 0), i, i)
 		if wi >= cutoff {
 			// Directions below the cutoff carry no range of A: drop them
-			// (zero column in Q) rather than amplify rounding noise by
-			// 1/sqrt(w).
+			// instead of amplifying rounding noise by 1/sqrt(w).
 			isq.Set(complex(1/s, 0), i, i)
 		}
 	}
 	xh := x.Conj().Transpose(1, 0)
 	r = tensor.MatMul(sq, xh)
-	p := tensor.MatMul(x, isq)
-	q = tensor.MatMul(a, p)
-	return q, r
-}
-
-// GramQRSplit is the tensor-level counterpart of QRSplit using GramOrth:
-// t is matricized with the first leftAxes axes as rows, factored as Q R
-// with the small Gram-matrix method, and folded back. This is the
-// "local-gram-qr" variant benchmarked in paper Figure 7.
-func GramQRSplit(t *tensor.Dense, leftAxes int) (q, r *tensor.Dense) {
-	shape := t.Shape()
-	if leftAxes <= 0 || leftAxes >= len(shape) {
-		panic(fmt.Sprintf("linalg: GramQRSplit leftAxes %d out of range for rank %d", leftAxes, len(shape)))
-	}
-	rows, cols := 1, 1
-	for i, d := range shape {
-		if i < leftAxes {
-			rows *= d
-		} else {
-			cols *= d
-		}
-	}
-	qm, rm := GramOrth(t.Reshape(rows, cols))
-	k := qm.Dim(1)
-	qShape := append(append([]int{}, shape[:leftAxes]...), k)
-	rShape := append([]int{k}, shape[leftAxes:]...)
-	return qm.Reshape(qShape...), rm.Reshape(rShape...)
+	p = tensor.MatMul(x, isq)
+	return r, p, true
 }

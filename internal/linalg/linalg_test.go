@@ -255,7 +255,7 @@ func TestRandSVDExactOnLowRank(t *testing.T) {
 	b := tensor.Rand(rng, 12, 3)
 	c := tensor.Rand(rng, 3, 9)
 	a := tensor.MatMul(b, c)
-	for _, orth := range []OrthFunc{OrthQR, OrthGram} {
+	for _, orth := range []OrthFunc{OrthQR, orthGram} {
 		u, s, v := RandSVD(MatrixOperator{a}, 3, RandSVDOptions{NIter: 2, Oversample: 2, Orth: orth, Rng: rng})
 		sd := tensor.New(3, 3)
 		for i := 0; i < 3; i++ {
@@ -299,28 +299,31 @@ func TestRandSVDRankClamped(t *testing.T) {
 	}
 }
 
-// --- GramOrth ---
+// --- Gram factors (Algorithm 5) ---
 
-func TestGramOrthProducesQR(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	a := tensor.Rand(rng, 20, 5)
-	q, r := GramOrth(a)
-	checkOrthonormalCols(t, q, 1e-9)
-	if !tensor.AllClose(tensor.MatMul(q, r), a, 1e-9, 1e-9) {
-		t.Fatal("GramOrth: QR != A")
+// orthGram orthonormalizes through GramFactors the way backend.Dist's
+// Gram variant does: Q = A P, degrading to Householder QR when the Gram
+// matrix is too ill-conditioned (as the oversampled sketch of a
+// low-rank matrix is).
+func orthGram(a *tensor.Dense) *tensor.Dense {
+	_, p, ok := GramFactors(tensor.MatMul(a.Conj().Transpose(1, 0), a))
+	if !ok {
+		return OrthQR(a)
 	}
+	return tensor.MatMul(a, p)
 }
 
-func TestGramQRSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	a := tensor.Rand(rng, 3, 4, 2, 2)
-	q, r := GramQRSplit(a, 2)
-	if !tensor.SameShape(q.Shape(), []int{3, 4, 4}) || !tensor.SameShape(r.Shape(), []int{4, 2, 2}) {
-		t.Fatalf("shapes %v %v", q.Shape(), r.Shape())
+func TestGramFactorsProducesQR(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	a := tensor.Rand(rng, 20, 5)
+	r, p, ok := GramFactors(tensor.MatMul(a.Conj().Transpose(1, 0), a))
+	if !ok {
+		t.Fatal("well-conditioned input rejected")
 	}
-	back := einsum.MustContract("abk,kcd->abcd", q, r)
-	if !tensor.AllClose(back, a, 1e-9, 1e-9) {
-		t.Fatal("GramQRSplit does not reconstruct")
+	q := tensor.MatMul(a, p)
+	checkOrthonormalCols(t, q, 1e-9)
+	if !tensor.AllClose(tensor.MatMul(q, r), a, 1e-9, 1e-9) {
+		t.Fatal("GramFactors: (A P) R != A")
 	}
 }
 

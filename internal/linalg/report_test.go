@@ -119,37 +119,28 @@ func TestEigHReportConverges(t *testing.T) {
 	}
 }
 
-func TestGramOrthFallsBackPastKappa2(t *testing.T) {
-	health.ResetCounters()
+func TestGramFactorsRejectPastKappa2(t *testing.T) {
 	// Columns e0 and e0 + 1e-8 e1: kappa^2 ~ 4e16, far past the 1e12
-	// threshold — the Gram method cannot resolve the second direction and
-	// must degrade to Householder QR.
+	// threshold — the Gram method cannot resolve the second direction,
+	// so the factors must be refused for the caller to degrade to QR.
 	m := 6
 	a := tensor.New(m, 2)
 	a.Set(1, 0, 0)
 	a.Set(1, 0, 1)
 	a.Set(complex(1e-8, 0), 1, 1)
-	q, r := GramOrth(a)
-	if got := health.GramFallbacks(); got != 1 {
-		t.Fatalf("GramFallbacks = %d, want exactly 1", got)
-	}
-	// The QR fallback must deliver genuinely orthonormal columns and an
-	// exact factorization — the properties the Gram path lost.
-	if d := maxOffUnitary(q); d > 1e-12 {
-		t.Fatalf("fallback Q orthonormality defect %g", d)
-	}
-	if d := maxAbsDiff(tensor.MatMul(q, r), a); d > 1e-12 {
-		t.Fatalf("fallback QR reconstruction off by %g", d)
+	gram := func(x *tensor.Dense) *tensor.Dense { return tensor.MatMul(x.Conj().Transpose(1, 0), x) }
+	if r, p, ok := GramFactors(gram(a)); ok || r != nil || p != nil {
+		t.Fatalf("kappa^2 past %g accepted", health.Kappa2Max())
 	}
 
-	// A well-conditioned matrix must stay on the Gram path.
-	health.ResetCounters()
+	// A well-conditioned matrix stays on the Gram path.
 	rng := rand.New(rand.NewSource(7))
 	b := tensor.Rand(rng, 8, 3)
-	q2, r2 := GramOrth(b)
-	if got := health.GramFallbacks(); got != 0 {
-		t.Fatalf("well-conditioned input fell back %d times", got)
+	r2, p2, ok := GramFactors(gram(b))
+	if !ok {
+		t.Fatal("well-conditioned input rejected")
 	}
+	q2 := tensor.MatMul(b, p2)
 	if d := maxOffUnitary(q2); d > 1e-10 {
 		t.Fatalf("Gram Q orthonormality defect %g", d)
 	}

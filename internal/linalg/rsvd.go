@@ -61,21 +61,14 @@ func (o MatrixOperator) ApplyAdjointSketch(p *tensor.Dense) *tensor.Dense {
 var _ SketchApplier = MatrixOperator{}
 
 // OrthFunc orthonormalizes the columns of an m-by-r block vector,
-// returning a matrix with the same span and orthonormal columns. The two
-// implementations are QR (OrthQR) and the reshape-avoiding Gram-matrix
-// method of paper Algorithm 5 (OrthGram).
+// returning a matrix with the same span and orthonormal columns: OrthQR,
+// or an engine's Orth (backend.Dist's Gram variant runs the
+// reshape-avoiding method of paper Algorithm 5, see GramFactors).
 type OrthFunc func(x *tensor.Dense) *tensor.Dense
 
 // OrthQR orthonormalizes via Householder QR.
 func OrthQR(x *tensor.Dense) *tensor.Dense {
 	q, _ := QR(x)
-	return q
-}
-
-// OrthGram orthonormalizes via the Gram-matrix eigendecomposition of
-// Algorithm 5 (see gram.go).
-func OrthGram(x *tensor.Dense) *tensor.Dense {
-	q, _ := GramOrth(x)
 	return q
 }
 

@@ -94,15 +94,6 @@ func (s *MPS) Clone() *MPS {
 	return &MPS{Sites: out}
 }
 
-// Product returns the product state with the given per-site vectors.
-func Product(vectors [][]complex128) *MPS {
-	sites := make([]*tensor.Dense, len(vectors))
-	for i, v := range vectors {
-		sites[i] = tensor.FromData(append([]complex128(nil), v...), 1, len(v), 1)
-	}
-	return NewMPS(sites)
-}
-
 // Random returns an MPS of n sites with physical dimension d and uniform
 // internal bond dimension bond (clipped near the boundary to keep shapes
 // consistent with open boundary conditions).
@@ -222,35 +213,4 @@ func ApplyMPOZipUp(eng backend.Engine, s *MPS, o *MPO, m int, st einsumsvd.Strat
 	sh = v.Shape()
 	out[n-1] = v.Reshape(sh[0], sh[1], 1)
 	return NewMPS(out)
-}
-
-// Compress truncates every internal bond of the MPS to at most m by a
-// left-to-right sweep of einsumsvd splits.
-func Compress(eng backend.Engine, s *MPS, m int, st einsumsvd.Strategy) *MPS {
-	n := s.Len()
-	if n == 1 {
-		return s.Clone()
-	}
-	sp := obs.Start("mps.compress").SetInt("m", int64(m))
-	defer sp.End()
-	out := make([]*tensor.Dense, n)
-	carry := s.Sites[0]
-	for i := 0; i < n-1; i++ {
-		a, c, _ := einsumsvd.MustFactor(st, eng, "apb,bqc->apx|xqc", m, carry, s.Sites[i+1])
-		out[i] = a
-		carry = c
-	}
-	out[n-1] = carry
-	return NewMPS(out)
-}
-
-// IdentityMPO returns the identity operator on n sites of physical
-// dimension d.
-func IdentityMPO(n, d int) *MPO {
-	sites := make([]*tensor.Dense, n)
-	id := tensor.Eye(d)
-	for i := range sites {
-		sites[i] = id.Reshape(1, d, d, 1).Clone()
-	}
-	return NewMPO(sites)
 }

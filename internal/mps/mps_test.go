@@ -86,17 +86,6 @@ func randomMPO(rng *rand.Rand, n, d, bond int) *MPO {
 	return NewMPO(sites)
 }
 
-func TestProductStateAmplitudes(t *testing.T) {
-	s := Product([][]complex128{{1, 0}, {0, 1}, {1 / complex(math.Sqrt2, 0), 1 / complex(math.Sqrt2, 0)}})
-	amps := amplitudes(t, s)
-	if cmplx.Abs(amps.At(0, 1, 0)-complex(1/math.Sqrt2, 0)) > 1e-14 {
-		t.Fatalf("amplitude(010) = %v", amps.At(0, 1, 0))
-	}
-	if amps.At(1, 1, 0) != 0 {
-		t.Fatal("amplitude(110) should vanish")
-	}
-}
-
 func TestInnerAndNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := Random(rng, 4, 2, 3)
@@ -109,24 +98,6 @@ func TestInnerAndNorm(t *testing.T) {
 	wantInner := amplitudes(t, u).Dot(amps)
 	if got := Inner(eng, u, s); cmplx.Abs(got-wantInner) > 1e-10*cmplx.Abs(wantInner) {
 		t.Fatalf("Inner = %v, want %v", got, wantInner)
-	}
-}
-
-func TestIdentityMPOPreservesState(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	s := Random(rng, 4, 2, 3)
-	id := IdentityMPO(4, 2)
-	for name, apply := range map[string]func() *MPS{
-		"exact": func() *MPS { return ApplyMPOExact(eng, s, id) },
-		"zipup": func() *MPS {
-			return ApplyMPOZipUp(eng, s, id, 16, einsumsvd.Explicit{})
-		},
-	} {
-		got := amplitudes(t, apply())
-		want := amplitudes(t, s)
-		if !tensor.AllClose(got, want, 1e-9, 1e-9) {
-			t.Errorf("%s: identity MPO changed the state", name)
-		}
 	}
 }
 
@@ -195,19 +166,6 @@ func TestZipUpSingleSite(t *testing.T) {
 	want := applyMPODense(t, o, amplitudes(t, s))
 	if !tensor.AllClose(got, want, 1e-10, 1e-10) {
 		t.Fatal("single-site MPO application wrong")
-	}
-}
-
-func TestCompressPreservesStateAtFullRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s := Random(rng, 5, 2, 4)
-	c := Compress(eng, s, 64, einsumsvd.Explicit{})
-	if !tensor.AllClose(amplitudes(t, c), amplitudes(t, s), 1e-9, 1e-9) {
-		t.Fatal("full-rank compression changed the state")
-	}
-	c2 := Compress(eng, s, 2, einsumsvd.Explicit{})
-	if c2.MaxBond() > 2 {
-		t.Fatalf("compression ignored bond cap: %d", c2.MaxBond())
 	}
 }
 

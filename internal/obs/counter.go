@@ -50,9 +50,6 @@ func (c *Counter) Add(n int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
 // FloatCounter is a monotonically increasing float metric (modeled
 // seconds). Adds are lock-free compare-and-swap on the bit pattern.
 type FloatCounter struct {
@@ -85,9 +82,6 @@ func (c *FloatCounter) Add(v float64) {
 
 // Value returns the current value.
 func (c *FloatCounter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
-
-// Name returns the counter's registered name.
-func (c *FloatCounter) Name() string { return c.name }
 
 // funcMetric is an always-on metric owned by another package: the
 // registry does not hold its value, it reads it at snapshot time.

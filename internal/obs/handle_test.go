@@ -62,7 +62,7 @@ func TestForeignGoroutineStartAttachesToRoot(t *testing.T) {
 }
 
 // StartChild parents explicitly across goroutines, and Adopt makes
-// legacy Start calls inside the task body nest under the task span.
+// Start calls inside the task body nest under the task span.
 func TestStartChildAdoptNesting(t *testing.T) {
 	cleanup()
 	sink := &collectSink{}

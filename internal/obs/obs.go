@@ -21,10 +21,10 @@
 // Span hierarchy is explicit: every span records its parent handle, and
 // parents are resolved per goroutine. Start nests under the innermost
 // span open on the *calling* goroutine; code that fans work out to other
-// goroutines either passes a handle and calls StartChild, or binds a
-// span to the worker goroutine with Adopt so the legacy Start path nests
-// correctly inside the task body (this is what pool.Group and the kernel
-// dispatch loops do). A goroutine with no open span and no adopted span
+// goroutines passes a handle and calls StartChild, then binds that span
+// to the worker goroutine with Adopt so Start calls inside the task body
+// nest under it (this is what pool.Group and the kernel dispatch loops
+// do). A goroutine with no open span and no adopted span
 // attaches to the trace root — never to another goroutine's stack — so
 // concurrent spans can no longer land under a racing, surprising parent.
 package obs
@@ -161,15 +161,14 @@ func Start(name string) *Span {
 		tracer.goStacks[gid] = append(tracer.goStacks[gid], s)
 	}
 	tracer.mu.Unlock()
-	pprofPush(name)
 	return s
 }
 
 // StartChild opens a span explicitly parented under s, from any
 // goroutine — the handle-passing form task schedulers use to attribute
 // work running on worker goroutines to the group that spawned it. The
-// child is not bound to any goroutine stack; call Adopt to make legacy
-// Start calls inside the task body nest under it. Returns nil on a nil
+// child is not bound to any goroutine stack; call Adopt to make Start
+// calls inside the task body nest under it. Returns nil on a nil
 // receiver or while disabled.
 func (s *Span) StartChild(name string) *Span {
 	if s == nil || !enabled.Load() {
@@ -232,9 +231,9 @@ func (s *Span) SetStr(key, v string) *Span {
 }
 
 // SetFloat annotates the span with a numeric attribute. Numeric
-// attributes other than identifiers (see idAttrs) are summed per span
-// name in the phase summary, which is how modeled seconds from the dist
-// machine model appear alongside measured seconds.
+// attributes other than identifiers (see IsIdentifierAttr) are summed
+// per span name in the phase summary, which is how modeled seconds from
+// the dist machine model appear alongside measured seconds.
 func (s *Span) SetFloat(key string, v float64) *Span {
 	if s == nil {
 		return nil
@@ -275,7 +274,6 @@ func (s *Span) End() {
 		return
 	}
 	dur := time.Since(s.start)
-	pprofPop()
 	if !enabled.Load() {
 		return
 	}
@@ -314,7 +312,7 @@ func (s *Span) End() {
 	}
 	agg.self += self
 	for _, a := range s.attrs {
-		if idAttrs[a.Key] {
+		if IsIdentifierAttr(a.Key) {
 			continue
 		}
 		switch a.Kind {
@@ -359,12 +357,17 @@ func Flush() error {
 	return first
 }
 
-// idAttrs name the numeric span attributes that identify a span rather
-// than measure it: worker lane, task sequence number, step, and lattice
-// extent. A sum of them means nothing, so the phase summary skips them;
+// IsIdentifierAttr reports whether a numeric span attribute identifies
+// the span rather than measures it: worker lane, task sequence number,
+// step, and lattice extent. A sum of them means nothing, so phase
+// summaries (live here, and rebuilt from a log by obsfile) skip them;
 // the sinks still record them per span.
-var idAttrs = map[string]bool{
-	"worker": true, "task": true, "step": true, "rows": true, "cols": true,
+func IsIdentifierAttr(key string) bool {
+	switch key {
+	case "worker", "task", "step", "rows", "cols":
+		return true
+	}
+	return false
 }
 
 // phaseAgg accumulates the per-span-name summary.

@@ -87,9 +87,6 @@ func (h *Hist) Observe(v float64) {
 	atomicAddFloat(&h.sumBits, v)
 }
 
-// Count returns the histogram's total observation count.
-func (h *Hist) Count() int64 { return h.count.Load() }
-
 // Pow2Bounds buckets small positive integers (bond dimensions, sweep
 // counts) at powers of two.
 var Pow2Bounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096}

@@ -5,11 +5,12 @@ import (
 	"sort"
 
 	"gokoala/internal/dist"
+	"gokoala/internal/obs"
 )
 
 // Phase is one row of the reconstructed per-phase summary: the same
-// aggregation obs.Summary performs live (count, total, self, numeric
-// attribute sums per span name), rebuilt from the log.
+// aggregation obs.Summary performs live (count, total, self, sums of the
+// non-identifier numeric attributes per span name), rebuilt from the log.
 type Phase struct {
 	Name    string
 	Count   int64
@@ -32,6 +33,9 @@ func (t *Trace) Phases() []Phase {
 		p.TotalUS += s.DurUS
 		p.SelfUS += s.SelfUS()
 		for k := range s.Attrs {
+			if obs.IsIdentifierAttr(k) {
+				continue
+			}
 			if v, ok := s.AttrFloat(k); ok {
 				p.Attrs[k] += v
 			}

@@ -3,6 +3,7 @@ package obsfile
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -28,7 +29,7 @@ func buildLog(t *testing.T) ([]byte, []obs.PhaseStat) {
 		go func() {
 			defer close(done)
 			task.Adopt()
-			leaf := obs.Start("leaf").SetInt("flops", 1000)
+			leaf := obs.Start("leaf").SetInt("flops", 1000).SetInt("worker", int64(step+1))
 			time.Sleep(200 * time.Microsecond)
 			leaf.End()
 			task.End()
@@ -47,7 +48,8 @@ func buildLog(t *testing.T) ([]byte, []obs.PhaseStat) {
 }
 
 // The reader must rebuild the same per-phase summary obs computed live:
-// same counts, same totals and selfs (up to microsecond serialization).
+// same counts, same totals and selfs (up to microsecond serialization),
+// and the same attribute sums, identifier attributes left out.
 func TestPhasesMatchLiveSummary(t *testing.T) {
 	log, want := buildLog(t)
 	tr, err := Read(bytes.NewReader(log))
@@ -77,6 +79,9 @@ func TestPhasesMatchLiveSummary(t *testing.T) {
 		}
 		if math.Abs(g.SelfUS-wantSelf) > tolUS {
 			t.Fatalf("%s self %.3fus != live %.3fus", w.Name, g.SelfUS, wantSelf)
+		}
+		if !reflect.DeepEqual(g.Attrs, w.Attrs) {
+			t.Fatalf("%s attrs %v != live %v", w.Name, g.Attrs, w.Attrs)
 		}
 	}
 	if v, ok := got["leaf"]; !ok || v.Attrs["flops"] != 3000 {

@@ -70,9 +70,6 @@ type Trace struct {
 	byID map[int64]*Span
 }
 
-// Span returns the span with the given id, or nil.
-func (t *Trace) Span(id int64) *Span { return t.byID[id] }
-
 // WallUS is the traced wall clock: the latest span end offset.
 func (t *Trace) WallUS() float64 {
 	var wall float64

@@ -96,7 +96,7 @@ func (p *PEPS) ContractScalar(opt ContractOption) complex128 {
 	// sweep run as two concurrent lattice tasks and meet at the cut. The
 	// bisection is applied at every worker count, so results do not depend
 	// on the pool size.
-	if sts := einsumsvd.Fork(st, 2); m > 0 && p.Rows >= 2 && sts != nil {
+	if sts := einsumsvd.Fork(st, 2); m > 0 && p.Rows >= 2 {
 		mid := p.Rows / 2
 		f := p.FlipVertical()
 		var top, bottom *mps.MPS

@@ -8,7 +8,6 @@ import (
 
 	"gokoala/internal/quantum"
 	"gokoala/internal/statevector"
-	"gokoala/internal/tensor"
 )
 
 func TestEnvironmentCutsAgree(t *testing.T) {
@@ -152,14 +151,6 @@ func TestExpectationOptionValidation(t *testing.T) {
 	}
 }
 
-func TestSanityCheckNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	p := Random(eng, rng, 2, 2, 2, 2)
-	if !p.SanityCheckNorm(ExpectationOptions{M: 16, Strategy: explicit()}) {
-		t.Fatal("healthy state failed norm sanity check")
-	}
-}
-
 func TestMergeLayersDimensions(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	a := Random(eng, rng, 2, 3, 2, 2)
@@ -190,44 +181,4 @@ func TestMergeLayersSizeMismatchPanics(t *testing.T) {
 		}
 	}()
 	MergeLayers(a, b)
-}
-
-func TestTransposeLatticeContractionInvariant(t *testing.T) {
-	// Contracting columns (via the transposed lattice) must equal
-	// contracting rows, exactly for Exact and closely for truncated BMPS.
-	rng := rand.New(rand.NewSource(38))
-	p := RandomNoPhys(eng, rng, 3, 5, 3)
-	q := p.TransposeLattice()
-	if q.Rows != 5 || q.Cols != 3 {
-		t.Fatalf("transposed shape %dx%d", q.Rows, q.Cols)
-	}
-	a := p.ContractScalar(Exact{})
-	b := q.ContractScalar(Exact{})
-	if cmplx.Abs(a-b) > 1e-10*cmplx.Abs(a) {
-		t.Fatalf("row vs column exact contraction: %v vs %v", a, b)
-	}
-	c := q.ContractScalar(BMPS{M: 64, Strategy: explicit()})
-	if cmplx.Abs(a-c) > 1e-8*cmplx.Abs(a) {
-		t.Fatalf("column BMPS %v vs exact %v", c, a)
-	}
-	// Double transpose is the identity.
-	rt := q.TransposeLattice()
-	for r := 0; r < p.Rows; r++ {
-		for col := 0; col < p.Cols; col++ {
-			if !tensor.AllClose(rt.Site(r, col), p.Site(r, col), 0, 0) {
-				t.Fatal("double lattice transpose is not identity")
-			}
-		}
-	}
-}
-
-func TestTransposeLatticeInnerInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	a := Random(eng, rng, 2, 4, 2, 2)
-	b := Random(eng, rng, 2, 4, 2, 2)
-	want := a.Inner(b, TwoLayerBMPS{M: 64, Strategy: explicit()})
-	got := a.TransposeLattice().Inner(b.TransposeLattice(), TwoLayerBMPS{M: 64, Strategy: explicit()})
-	if cmplx.Abs(got-want) > 1e-8*(1+cmplx.Abs(want)) {
-		t.Fatalf("transposed inner %v vs %v", got, want)
-	}
 }

@@ -2,7 +2,6 @@ package peps
 
 import (
 	"fmt"
-	"math"
 
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/health"
@@ -83,17 +82,6 @@ func (p *PEPS) applyTermExact(t quantum.Term) *PEPS {
 func (p *PEPS) expectationDirect(h *quantum.Observable, opts ExpectationOptions) complex128 {
 	n := len(h.Terms)
 	sts := einsumsvd.Fork(opts.Strategy, 1+n)
-	if sts == nil {
-		opt := TwoLayerBMPS{M: opts.M, Strategy: opts.Strategy}
-		den := p.Inner(p, opt)
-		health.CheckValue("peps.norm", den)
-		var num complex128
-		for _, t := range h.Terms {
-			phi := p.applyTermExact(t)
-			num += t.Coef * p.Inner(phi, opt)
-		}
-		return num / den
-	}
 	var den complex128
 	vals := make([]complex128, n)
 	g := pool.NewGroup("peps.expectation.terms")
@@ -122,9 +110,6 @@ func (p *PEPS) expectationDirect(h *quantum.Observable, opts ExpectationOptions)
 func (p *PEPS) expectationCached(h *quantum.Observable, opts ExpectationOptions) complex128 {
 	n := len(h.Terms)
 	sts := einsumsvd.Fork(opts.Strategy, 2+n)
-	if sts == nil {
-		return p.expectationCachedSeq(h, opts)
-	}
 	var tops, bottoms []boundary
 	eg := pool.NewGroup("peps.expectation.env")
 	eg.Go(func() { tops = p.TopEnvironments(opts.M, sts[0]) })
@@ -156,27 +141,6 @@ func (p *PEPS) expectationCached(h *quantum.Observable, opts ExpectationOptions)
 	return num / den
 }
 
-// expectationCachedSeq is the sequential cached evaluation, the fallback
-// for strategies that cannot be forked for concurrent use.
-func (p *PEPS) expectationCachedSeq(h *quantum.Observable, opts ExpectationOptions) complex128 {
-	tops := p.TopEnvironments(opts.M, opts.Strategy)
-	bottoms := p.BottomEnvironments(opts.M, opts.Strategy)
-
-	den := closeBoundaries(p.eng, tops[0], bottoms[0])
-	health.CheckValue("peps.norm", den)
-	var num complex128
-	for _, t := range h.Terms {
-		rlo, rhi := p.termRowSpan(t)
-		phi := p.applyTermExact(t)
-		s := tops[rlo]
-		for r := rlo; r <= rhi; r++ {
-			s = applyTwoLayerRow(p.eng, s, p.row(r), phi.row(r), opts.M, opts.Strategy)
-		}
-		num += t.Coef * closeBoundaries(p.eng, s, bottoms[rhi+1])
-	}
-	return num / den
-}
-
 // termRowSpan returns the inclusive row range a term's exact application
 // modifies, including any SWAP routing for non-adjacent two-site terms
 // (the routing of applyRouted stays within the rows of the two sites).
@@ -192,11 +156,4 @@ func (p *PEPS) termRowSpan(t quantum.Term) (int, int) {
 		}
 	}
 	return rlo, rhi
-}
-
-// SanityCheckNorm reports whether the state's norm is finite and positive
-// under the given contraction settings; useful in long evolutions.
-func (p *PEPS) SanityCheckNorm(opts ExpectationOptions) bool {
-	v := real(p.Inner(p, TwoLayerBMPS{M: opts.M, Strategy: opts.Strategy}))
-	return !math.IsNaN(v) && !math.IsInf(v, 0) && v > 0
 }

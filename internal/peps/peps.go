@@ -252,23 +252,6 @@ func (p *PEPS) Project(bits []int) *PEPS {
 	return out
 }
 
-// TransposeLattice returns the state reflected about the main diagonal:
-// rows become columns and each site's up/left and down/right legs swap.
-// Contracting the transposed network top-to-bottom equals contracting
-// the original left-to-right, which is how column-wise boundary
-// contraction is exposed.
-func (p *PEPS) TransposeLattice() *PEPS {
-	sites := make([][]*tensor.Dense, p.Cols)
-	for c := 0; c < p.Cols; c++ {
-		sites[c] = make([]*tensor.Dense, p.Rows)
-		for r := 0; r < p.Rows; r++ {
-			// [u,l,d,r,p] -> [l,u,r,d,p]
-			sites[c][r] = p.sites[r][c].Transpose(1, 0, 3, 2, 4)
-		}
-	}
-	return &PEPS{Rows: p.Cols, Cols: p.Rows, LogScale: p.LogScale, sites: sites, eng: p.eng}
-}
-
 // FlipVertical returns the state reflected about the horizontal axis:
 // row order reversed and up/down legs swapped. Environments from below
 // are computed as environments from above of the flipped state.

@@ -107,20 +107,11 @@ func (p *SymPEPS) checkValid() error {
 	return nil
 }
 
-// Engine returns the block-sparse backend engine.
-func (p *SymPEPS) Engine() backend.SymEngine { return p.eng }
-
 // Mod returns the symmetry group modulus (0 for U(1), n for Z_n).
 func (p *SymPEPS) Mod() int { return p.sites[0][0].Mod() }
 
 // Site returns the tensor at (row, col).
 func (p *SymPEPS) Site(r, c int) *tensor.Sym { return p.sites[r][c] }
-
-// SetSite replaces the tensor at (row, col) without validation.
-func (p *SymPEPS) SetSite(r, c int, t *tensor.Sym) { p.sites[r][c] = t }
-
-// SiteIndex returns the flattened index of (row, col).
-func (p *SymPEPS) SiteIndex(r, c int) int { return r*p.Cols + c }
 
 // Coords returns the (row, col) of a flattened site index.
 func (p *SymPEPS) Coords(site int) (int, int) {
@@ -128,18 +119,6 @@ func (p *SymPEPS) Coords(site int) (int, int) {
 		panic(fmt.Sprintf("peps: site %d out of range", site))
 	}
 	return site / p.Cols, site % p.Cols
-}
-
-// Clone returns a deep copy of the state.
-func (p *SymPEPS) Clone() *SymPEPS {
-	sites := make([][]*tensor.Sym, p.Rows)
-	for r := range sites {
-		sites[r] = make([]*tensor.Sym, p.Cols)
-		for c := range sites[r] {
-			sites[r][c] = p.sites[r][c].Clone()
-		}
-	}
-	return &SymPEPS{Rows: p.Rows, Cols: p.Cols, LogScale: p.LogScale, sites: sites, eng: p.eng}
 }
 
 // MaxBond returns the largest total bond dimension in the network.

@@ -121,7 +121,7 @@ func innerTwoLayer(bra, ket *PEPS, opt TwoLayerBMPS) complex128 {
 	// construction) over the rest run as two concurrent lattice tasks and
 	// meet at the cut. The bisection is applied at every worker count, so
 	// results do not depend on the pool size.
-	if sts := einsumsvd.Fork(opt.Strategy, 2); bra.Rows >= 2 && sts != nil {
+	if sts := einsumsvd.Fork(opt.Strategy, 2); bra.Rows >= 2 {
 		mid := bra.Rows / 2
 		fb, fk := bra.FlipVertical(), ket.FlipVertical()
 		var top, bottom boundary

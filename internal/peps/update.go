@@ -3,7 +3,6 @@ package peps
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 
 	"gokoala/internal/einsumsvd"
@@ -270,8 +269,10 @@ func (p *PEPS) applyGateDelta(g quantum.TrotterGate, opts UpdateOptions) float64
 // forked deterministically, and LogScale deltas are summed in gate
 // order.
 func (p *PEPS) ApplyCircuit(gates []quantum.TrotterGate, opts UpdateOptions) {
+	// Fork before the length test: forking advances the parent Rng, and
+	// the order of draws from it is part of every seeded result.
 	sts := einsumsvd.Fork(opts.Strategy, len(gates))
-	if len(gates) < 2 || sts == nil {
+	if len(gates) < 2 {
 		for _, g := range gates {
 			p.ApplyGate(g, opts)
 		}
@@ -302,16 +303,6 @@ func (p *PEPS) ApplyCircuit(gates []quantum.TrotterGate, opts UpdateOptions) {
 	for _, d := range deltas {
 		p.LogScale += d
 	}
-}
-
-// RandomGateUpdateOptions returns update options suitable for random
-// circuit evolution: exact QR updates with a deterministic sub-rng.
-func RandomGateUpdateOptions(rank int, rng *rand.Rand, implicit bool) UpdateOptions {
-	opts := UpdateOptions{Rank: rank, Method: UpdateQR}
-	if implicit {
-		opts.Strategy = einsumsvd.ImplicitRand{Mode: einsumsvd.SigmaBoth, Rng: rng}
-	}
-	return opts
 }
 
 func abs(x int) int {

@@ -10,8 +10,8 @@ import (
 	"gokoala/internal/obs"
 )
 
-// Lattice-level task groups. The worker pool's For/ForMax primitives
-// parallelize a single kernel; Group parallelizes the layer above it —
+// Lattice-level task groups. The worker pool's For primitive
+// parallelizes a single kernel; Group parallelizes the layer above it —
 // independent lattice tasks such as the two boundary-MPS sweeps of a
 // cached expectation, the per-term strip contractions, or the gates of
 // one checkerboard wave. Each task is a full algorithm step that runs
@@ -22,7 +22,7 @@ import (
 //     its own; with no token free it runs inline on the submitting
 //     goroutine (never blocking, so nested groups cannot deadlock).
 //     Tokens bound the lattice-level goroutine count by the pool size.
-//   - While lattice tasks are active, kernel-level splits (ForMax) see a
+//   - While lattice tasks are active, kernel-level splits (For) see a
 //     reduced worker share — Size()/activeTasks — so the product of
 //     lattice-level and kernel-level parallelism stays at the pool size
 //     instead of oversubscribing GOMAXPROCS.
@@ -47,7 +47,7 @@ var (
 )
 
 // latticeActive counts group tasks currently executing (goroutine or
-// inline). ForMax divides the kernel worker share by it.
+// inline). For divides the kernel worker share by it.
 var latticeActive atomic.Int64
 
 // tokenMu guards the worker-token slots. Tokens bound how many group
@@ -176,7 +176,7 @@ func (p *TaskPanic) Unwrap() error {
 // name, the task index within the group, the worker slot it ran on
 // (-1 = inline on the submitter), and the queue wait between submission
 // and execution start. Adopt binds the span to the executing goroutine
-// so everything the body starts (engine spans, nested ForMax chunks)
+// so everything the body starts (engine spans, nested For chunks)
 // nests under its true task.
 func (g *Group) run(body func(), slot int, submitted time.Time) {
 	latticeActive.Add(1)

@@ -182,7 +182,7 @@ func TestGroupPanicInlinePathAlsoWrapped(t *testing.T) {
 func TestGroupPanicDoesNotStarveLaterGroups(t *testing.T) {
 	// A panicking lattice task must release its worker token and leave
 	// the lattice-active budget balanced, so subsequent task groups and
-	// kernel ForMax splits still get the full pool. Repeat to catch
+	// kernel For splits still get the full pool. Repeat to catch
 	// leaks that only starve after several failures.
 	defer SetWorkers(0)
 	SetWorkers(2)
@@ -208,14 +208,14 @@ func TestGroupPanicDoesNotStarveLaterGroups(t *testing.T) {
 			t.Fatalf("round %d: follow-up group ran %d tasks, want 8", round, count.Load())
 		}
 		covered := make([]int32, 256)
-		ForMax(0, len(covered), 1, func(lo, hi int) {
+		For(len(covered), 1, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				atomic.AddInt32(&covered[k], 1)
 			}
 		})
 		for k, c := range covered {
 			if c != 1 {
-				t.Fatalf("round %d: ForMax covered index %d %d times", round, k, c)
+				t.Fatalf("round %d: For covered index %d %d times", round, k, c)
 			}
 		}
 	}
@@ -245,13 +245,13 @@ func TestKernelShareUnderLatticeTasks(t *testing.T) {
 	}
 }
 
-func TestForMaxInsideGroupStillCoversRange(t *testing.T) {
+func TestForInsideGroupStillCoversRange(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(4)
 	Tasks("cover", 4, func(i int) {
 		const n = 1000
 		marks := make([]int32, n)
-		ForMax(0, n, 1, func(lo, hi int) {
+		For(n, 1, func(lo, hi int) {
 			for k := lo; k < hi; k++ {
 				atomic.AddInt32(&marks[k], 1)
 			}

@@ -142,9 +142,9 @@ func TestSpansInsideTaskNestUnderTask(t *testing.T) {
 	}
 }
 
-// ForMax under a current span hangs its chunk spans under a pool.for
+// For under a current span hangs its chunk spans under a pool.for
 // span; the deterministic counters must not depend on it.
-func TestForMaxChunkSpans(t *testing.T) {
+func TestForChunkSpans(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(4)
 	sink := &recordSink{}
@@ -157,7 +157,7 @@ func TestForMaxChunkSpans(t *testing.T) {
 	root := obs.Start("kernel")
 	var mu sync.Mutex
 	covered := make([]bool, 64)
-	ForMax(0, 64, 1, func(lo, hi int) {
+	For(64, 1, func(lo, hi int) {
 		mu.Lock()
 		for i := lo; i < hi; i++ {
 			covered[i] = true
@@ -184,7 +184,7 @@ func TestForMaxChunkSpans(t *testing.T) {
 		}
 	}
 	if forSpan.ID == 0 {
-		t.Fatal("no pool.for span for a multi-chunk ForMax")
+		t.Fatal("no pool.for span for a multi-chunk For")
 	}
 	for _, e := range sink.events {
 		if e.Name == "pool.chunk" {

@@ -133,8 +133,7 @@ func kernelShare() int {
 // SetWorkers resizes the pool to n workers (n <= 0 restores the
 // KOALA_WORKERS / GOMAXPROCS default). Already-submitted work completes
 // on the old workers. Intended for tests and for tuning long-running
-// services; kernels cap their own parallelism per call via the max
-// argument of ForMax instead.
+// services.
 func SetWorkers(n int) {
 	if n <= 0 {
 		n = defaultSize()
@@ -174,7 +173,7 @@ func worker(id int, q chan task) {
 		if t.sp != nil {
 			// Per-chunk span under the dispatching call's span: worker
 			// lane, chunk bounds, and how long the chunk sat queued.
-			sp := t.sp.StartChild("pool.chunk").SetTrack(id + 1).
+			sp := t.sp.StartChild("pool.chunk").SetTrack(id+1).
 				SetInt("worker", int64(id)).
 				SetInt("n", int64(t.hi-t.lo))
 			wait := time.Since(t.submitted).Seconds()
@@ -193,13 +192,9 @@ func worker(id int, q chan task) {
 // For splits [0, n) into chunks of at least grain indices and runs body
 // over the chunks in parallel, returning when all chunks are done. With
 // one chunk (small n, or a single-worker pool) the body runs inline on
-// the calling goroutine with no synchronization at all.
-func For(n, grain int, body func(lo, hi int)) { ForMax(0, n, grain, body) }
-
-// ForMax is For with an additional cap on the number of chunks
-// (max <= 0 means the pool size). Engines expose their own worker-count
-// knobs by passing them here.
-func ForMax(max, n, grain int, body func(lo, hi int)) {
+// the calling goroutine with no synchronization at all. The chunk count
+// is the kernel share of the pool (see kernelShare).
+func For(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -207,9 +202,6 @@ func ForMax(max, n, grain int, body func(lo, hi int)) {
 		grain = 1
 	}
 	chunks := kernelShare()
-	if max > 0 && max < chunks {
-		chunks = max
-	}
 	if byGrain := (n + grain - 1) / grain; byGrain < chunks {
 		chunks = byGrain
 	}
@@ -217,7 +209,7 @@ func ForMax(max, n, grain int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	// Dispatch span: one per multi-chunk ForMax call, parented under the
+	// Dispatch span: one per multi-chunk For call, parented under the
 	// submitting goroutine's innermost span (the kernel region that asked
 	// for parallelism). Worker-side chunks become its children, so nested
 	// kernel splits land under their true parent in the trace.

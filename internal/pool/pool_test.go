@@ -34,32 +34,6 @@ func TestForCoversRange(t *testing.T) {
 	SetWorkers(0)
 }
 
-// TestForMaxRespectsCap verifies ForMax never runs more concurrent
-// chunks than its cap.
-func TestForMaxRespectsCap(t *testing.T) {
-	SetWorkers(4)
-	defer SetWorkers(0)
-	for _, max := range []int{1, 2, 3} {
-		var cur, peak int32
-		var mu sync.Mutex
-		ForMax(max, 64, 1, func(lo, hi int) {
-			c := atomic.AddInt32(&cur, 1)
-			mu.Lock()
-			if c > peak {
-				peak = c
-			}
-			mu.Unlock()
-			for i := 0; i < 1000; i++ {
-				_ = i * i
-			}
-			atomic.AddInt32(&cur, -1)
-		})
-		if int(peak) > max {
-			t.Fatalf("ForMax(max=%d): observed %d concurrent chunks", max, peak)
-		}
-	}
-}
-
 // TestForGrainFloor checks chunks are never smaller than the grain
 // (except possibly the remainder split over the chunk count).
 func TestForGrainFloor(t *testing.T) {

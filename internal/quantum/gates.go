@@ -63,22 +63,11 @@ func SqrtW() *tensor.Dense {
 	return tensor.MatMul(tensor.MatMul(vecs, d), vecs.Conj().Transpose(1, 0))
 }
 
-// Rx returns exp(-i theta X / 2).
-func Rx(theta float64) *tensor.Dense {
-	c, s := complex(math.Cos(theta/2), 0), complex(0, -math.Sin(theta/2))
-	return tensor.FromData([]complex128{c, s, s, c}, 2, 2)
-}
-
 // Ry returns exp(-i theta Y / 2), the rotation used by the paper's VQE
 // ansatz layers.
 func Ry(theta float64) *tensor.Dense {
 	c, s := complex(math.Cos(theta/2), 0), complex(math.Sin(theta/2), 0)
 	return tensor.FromData([]complex128{c, -s, s, c}, 2, 2)
-}
-
-// Rz returns exp(-i theta Z / 2).
-func Rz(theta float64) *tensor.Dense {
-	return tensor.FromData([]complex128{cmplx.Exp(complex(0, -theta/2)), 0, 0, cmplx.Exp(complex(0, theta/2))}, 2, 2)
 }
 
 // Two-qubit gates are returned as 4x4 matrices in the basis
@@ -151,6 +140,3 @@ func RandomUnitary(rng *rand.Rand, d int) *tensor.Dense {
 	}
 	return q
 }
-
-// Dagger returns the conjugate transpose of a gate matrix.
-func Dagger(g *tensor.Dense) *tensor.Dense { return g.Conj().Transpose(1, 0) }

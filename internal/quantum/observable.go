@@ -85,9 +85,6 @@ func (o *Observable) MaxSite() int {
 // ObservableX returns X acting on one site.
 func ObservableX(site int) *Observable { return NewObservable().AddTerm(1, X(), site) }
 
-// ObservableY returns Y acting on one site.
-func ObservableY(site int) *Observable { return NewObservable().AddTerm(1, Y(), site) }
-
 // ObservableZ returns Z acting on one site.
 func ObservableZ(site int) *Observable { return NewObservable().AddTerm(1, Z(), site) }
 

@@ -20,7 +20,7 @@ func TestStandardGatesUnitary(t *testing.T) {
 	gates := map[string]*tensor.Dense{
 		"I": I(), "X": X(), "Y": Y(), "Z": Z(), "H": H(), "S": S(), "T": T(),
 		"SqrtX": SqrtX(), "SqrtY": SqrtY(), "SqrtW": SqrtW(),
-		"Rx": Rx(0.3), "Ry": Ry(1.1), "Rz": Rz(-0.7),
+		"Ry": Ry(1.1),
 		"CX": CX(), "CZ": CZ(), "SWAP": SWAP(), "ISwap": ISwap(),
 	}
 	for name, g := range gates {

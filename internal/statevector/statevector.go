@@ -32,19 +32,6 @@ func Zeros(n int) *State {
 	return s
 }
 
-// Basis returns the computational basis state with the given bits
-// (bits[0] is qubit 0).
-func Basis(bits []int) *State {
-	s := Zeros(len(bits))
-	idx := 0
-	for _, b := range bits {
-		idx = idx<<1 | (b & 1)
-	}
-	s.Amp[0] = 0
-	s.Amp[idx] = 1
-	return s
-}
-
 // Clone returns a deep copy.
 func (s *State) Clone() *State {
 	return &State{N: s.N, Amp: append([]complex128(nil), s.Amp...)}

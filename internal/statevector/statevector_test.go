@@ -21,16 +21,6 @@ func TestZerosState(t *testing.T) {
 	}
 }
 
-func TestBasisState(t *testing.T) {
-	s := Basis([]int{1, 0, 1})
-	if s.Amplitude([]int{1, 0, 1}) != 1 {
-		t.Fatal("basis amplitude wrong")
-	}
-	if s.Amplitude([]int{0, 0, 0}) != 0 {
-		t.Fatal("other amplitude nonzero")
-	}
-}
-
 func TestApplyOneX(t *testing.T) {
 	s := Zeros(2)
 	s.ApplyOne(quantum.X(), 0)

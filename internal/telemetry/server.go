@@ -9,8 +9,9 @@
 //	              recent events on connect
 //	/debug/pprof  the standard runtime profiles
 //
-// The same mux is exposed as Handler() so koala-serve can mount the
-// plane per tenant instead of opening a port per run.
+// Serve listens on an address with this mux; Handler() returns the same
+// mux for callers that bring their own server (the tests mount it on
+// httptest).
 package telemetry
 
 import (

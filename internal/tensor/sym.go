@@ -71,20 +71,6 @@ func cloneLeg(l Leg) Leg {
 	return Leg{Dir: l.Dir, Charges: append([]int{}, l.Charges...), Dims: append([]int{}, l.Dims...)}
 }
 
-// SameLegs reports whether two legs have identical direction and sector
-// structure.
-func SameLegs(a, b Leg) bool {
-	if a.Dir != b.Dir || len(a.Charges) != len(b.Charges) {
-		return false
-	}
-	for i := range a.Charges {
-		if a.Charges[i] != b.Charges[i] || a.Dims[i] != b.Dims[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // DualLegs reports whether a and b form a contractible bond: identical
 // charges and dims, opposite directions.
 func DualLegs(a, b Leg) bool {
@@ -259,12 +245,6 @@ func (s *Sym) blockShape(sectors []int) []int {
 	return sh
 }
 
-// Block returns the stored block at the sector tuple, or nil when the
-// block is absent (structurally or numerically zero).
-func (s *Sym) Block(sectors ...int) *Dense {
-	return s.blocks[s.key(sectors)]
-}
-
 // SetBlock stores d as the block at the sector tuple, validating charge
 // conservation and the block shape. The tensor takes ownership of d.
 func (s *Sym) SetBlock(d *Dense, sectors ...int) {
@@ -369,13 +349,6 @@ func (s *Sym) Transpose(perm ...int) *Sym {
 	return out
 }
 
-// Scale returns s multiplied by alpha.
-func (s *Sym) Scale(alpha complex128) *Sym {
-	out := s.Clone()
-	out.ScaleInPlace(alpha)
-	return out
-}
-
 // ScaleInPlace multiplies every stored element by alpha.
 func (s *Sym) ScaleInPlace(alpha complex128) {
 	for _, k := range s.sortedKeys() {
@@ -405,17 +378,6 @@ func (s *Sym) MaxAbs() float64 {
 		}
 	}
 	return m
-}
-
-// Item returns the value of a rank-0 tensor.
-func (s *Sym) Item() complex128 {
-	if len(s.legs) != 0 {
-		panic(fmt.Sprintf("tensor: Item on rank-%d symmetric tensor", len(s.legs)))
-	}
-	if b, ok := s.blocks[""]; ok {
-		return b.Item()
-	}
-	return 0
 }
 
 // eachSectorTuple enumerates every sector tuple of the legs in

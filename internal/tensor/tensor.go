@@ -91,15 +91,6 @@ func Rand(rng *rand.Rand, shape ...int) *Dense {
 	return t
 }
 
-// RandReal returns a tensor with real entries drawn uniformly from [-1, 1).
-func RandReal(rng *rand.Rand, shape ...int) *Dense {
-	t := New(shape...)
-	for i := range t.data {
-		t.data[i] = complex(2*rng.Float64()-1, 0)
-	}
-	return t
-}
-
 func checkShape(shape []int) int {
 	n := 1
 	for _, d := range shape {
@@ -509,11 +500,6 @@ func (t *Dense) Add(u *Dense) *Dense { return t.axpby(1, u, 1) }
 // Sub returns t - u. Shapes must match exactly.
 func (t *Dense) Sub(u *Dense) *Dense { return t.axpby(1, u, -1) }
 
-// Axpby returns alpha*t + beta*u.
-func (t *Dense) Axpby(alpha complex128, u *Dense, beta complex128) *Dense {
-	return t.axpby(alpha, u, beta)
-}
-
 func (t *Dense) axpby(alpha complex128, u *Dense, beta complex128) *Dense {
 	if !SameShape(t.shape, u.shape) {
 		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", t.shape, u.shape))
@@ -559,18 +545,6 @@ func (t *Dense) Dot(u *Dense) complex128 {
 		s += cmplx.Conj(t.data[i]) * u.data[i]
 	}
 	return s
-}
-
-// Hadamard returns the elementwise product t .* u.
-func (t *Dense) Hadamard(u *Dense) *Dense {
-	if !SameShape(t.shape, u.shape) {
-		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", t.shape, u.shape))
-	}
-	out := New(t.shape...)
-	for i := range out.data {
-		out.data[i] = t.data[i] * u.data[i]
-	}
-	return out
 }
 
 // Kron returns the Kronecker product of two matrices (rank-2 tensors).

@@ -164,9 +164,6 @@ func TestAddSubScale(t *testing.T) {
 	if got := a.Scale(2i).At(1); got != -4 {
 		t.Fatalf("Scale = %v", got)
 	}
-	if got := a.Axpby(2, b, 3i).At(0); got != 2+9i {
-		t.Fatalf("Axpby = %v", got)
-	}
 }
 
 func TestNormAndDot(t *testing.T) {
@@ -305,15 +302,6 @@ func TestKronMixedProductProperty(t *testing.T) {
 	rhs := Kron(MatMul(a, c), MatMul(b, d))
 	if !AllClose(lhs, rhs, 1e-10, 1e-10) {
 		t.Fatal("Kron mixed-product property failed")
-	}
-}
-
-func TestHadamard(t *testing.T) {
-	a := FromData([]complex128{1, 2}, 2)
-	b := FromData([]complex128{3, 1i}, 2)
-	h := a.Hadamard(b)
-	if h.At(0) != 3 || h.At(1) != 2i {
-		t.Fatalf("Hadamard = %v", h)
 	}
 }
 
