@@ -39,7 +39,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"time"
 
 	"gokoala/internal/bench"
 	"gokoala/internal/cliutil"
@@ -48,13 +47,11 @@ import (
 	"gokoala/internal/health"
 	"gokoala/internal/obs"
 	"gokoala/internal/pool"
-	"gokoala/internal/tensor"
 )
 
 func main() {
 	full := flag.Bool("full", false, "run the larger parameter sweeps")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON file")
-	metricsFile := flag.String("metrics", "", "write a JSON-lines span/metrics log")
+	oc := cliutil.ObsFlags()
 	jsonDir := flag.String("json", "", "write BENCH_<suite>.json files into this directory")
 	compareDir := flag.String("compare", "", "gate each suite's deterministic metrics against the BENCH_<suite>.json baselines in this directory; exit nonzero on regression")
 	workers := cliutil.WorkersFlag()
@@ -78,9 +75,6 @@ func main() {
 		args = []string{"table2", "fig7a", "fig7b", "fig8a", "fig8b", "fig9", "fig10", "fig11", "fig12", "fig13a", "fig13b", "fig14", "ablation", "sym"}
 	}
 
-	if *traceFile != "" && *traceFile == *metricsFile {
-		fatal(fmt.Errorf("-trace and -metrics must name different files"))
-	}
 	if *jsonDir != "" {
 		// Fail before running minutes of experiments, not at write time.
 		if fi, err := os.Stat(*jsonDir); err != nil {
@@ -90,27 +84,11 @@ func main() {
 		}
 	}
 
-	observing := *traceFile != "" || *metricsFile != "" || *jsonDir != "" || *compareDir != ""
-	var closers []io.Closer
-	if observing {
-		var sinks []obs.Sink
-		if *traceFile != "" {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			closers = append(closers, f)
-			sinks = append(sinks, obs.NewChromeTraceSink(f))
-		}
-		if *metricsFile != "" {
-			f, err := os.Create(*metricsFile)
-			if err != nil {
-				fatal(err)
-			}
-			closers = append(closers, f)
-			sinks = append(sinks, obs.NewJSONLSink(f))
-		}
-		obs.Enable(sinks...)
+	// -json and -compare read the suite counters, so they turn
+	// collection on even with no trace file to write.
+	observing, err := oc.Setup(*jsonDir != "" || *compareDir != "")
+	if err != nil {
+		fatal(err)
 	}
 	tel, err := cliutil.StartTelemetry(*listen, "bench", map[string]string{"suites": strings.Join(args, ",")})
 	if err != nil {
@@ -118,11 +96,8 @@ func main() {
 	}
 	defer tel.Close()
 	cliutil.HandleSignals(false, func() {
-		_ = obs.Flush()
+		_ = oc.Finish(nil)
 		_ = tel.Close()
-		for _, c := range closers {
-			_ = c.Close()
-		}
 	})
 
 	w := os.Stdout
@@ -140,7 +115,6 @@ func main() {
 		if observing {
 			obs.ResetCounters()
 			obs.ResetSummary()
-			dist.ResetTimelines()
 			// Fresh per-suite plan cache statistics (the few recompiles
 			// this forces are noise next to a suite's contraction count)
 			// and always-on health and block-sparse counters.
@@ -149,13 +123,14 @@ func main() {
 			health.ResetCounters()
 		}
 		res := bench.SuiteResult{Suite: name, Params: params}
-		res.Flops = flopsOf(func() {
-			res.WallSeconds = timeIt(func() { run(w) })
+		res.Flops = bench.FlopsOf(func() {
+			res.WallSeconds = bench.TimeIt(func() { run(w) })
 		})
 		if observing {
 			// Emit per-rank model timelines of every grid this suite drove
-			// into the trace sinks before the summary snapshot.
+			// into the trace sinks before the summary snapshot, once.
 			dist.FlushTimelines()
+			dist.ResetTimelines()
 			bench.CollectSuiteMetrics(&res)
 			fmt.Fprintf(w, "\n-- %s phase breakdown --\n", name)
 			obs.WriteSummary(w)
@@ -197,15 +172,8 @@ func main() {
 			fmt.Fprintf(w, "\nwrote %s\n", path)
 		}
 	}
-	if observing {
-		if err := obs.Disable(); err != nil {
-			fatal(err)
-		}
-		for _, c := range closers {
-			if err := c.Close(); err != nil {
-				fatal(err)
-			}
-		}
+	if err := oc.Finish(nil); err != nil {
+		fatal(err)
 	}
 	if regressions > 0 {
 		fmt.Fprintf(os.Stderr, "koala-bench: %d metric regression(s) against %s\n", regressions, *compareDir)
@@ -359,7 +327,7 @@ func scalingCurve(run func(io.Writer)) []bench.ScalingPoint {
 	var pts []bench.ScalingPoint
 	for w := 1; w <= limit; w *= 2 {
 		pool.SetWorkers(w)
-		secs := timeIt(func() { run(io.Discard) })
+		secs := bench.TimeIt(func() { run(io.Discard) })
 		pts = append(pts, bench.ScalingPoint{Workers: w, WallSeconds: secs})
 	}
 	if len(pts) > 0 && pts[0].WallSeconds > 0 {
@@ -368,20 +336,6 @@ func scalingCurve(run func(io.Writer)) []bench.ScalingPoint {
 		}
 	}
 	return pts
-}
-
-// timeIt and flopsOf mirror the internal/bench helpers for whole-suite
-// measurement.
-func timeIt(f func()) float64 {
-	start := time.Now()
-	f()
-	return time.Since(start).Seconds()
-}
-
-func flopsOf(f func()) int64 {
-	before := tensor.FlopCount()
-	f()
-	return tensor.FlopCount() - before
 }
 
 func fatal(err error) {

@@ -58,7 +58,7 @@ func main() {
 	if err := ck.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := oc.Setup(); err != nil {
+	if _, err := oc.Setup(false); err != nil {
 		log.Fatal(err)
 	}
 	tel, err := cliutil.StartTelemetry(*listen, "ite", map[string]string{
@@ -120,7 +120,7 @@ func main() {
 		fmt.Printf("exact ground state energy per site: %.6f\n", e/float64(n))
 	}
 
-	eng := backend.Instrument(backend.NewDense())
+	eng := backend.NewDense()
 	var from *checkpoint.ITECheckpoint
 	if *ck.Resume {
 		cp, err := checkpoint.LoadITE(*ck.Path, eng)

@@ -35,6 +35,7 @@ import (
 	"sort"
 	"strings"
 
+	"gokoala/internal/obs"
 	"gokoala/internal/obsfile"
 )
 
@@ -71,7 +72,7 @@ func main() {
 		report(w, t, *top)
 		done()
 	case "watch":
-		os.Exit(runWatch(os.Args[2:]))
+		os.Exit(runWatch(os.Args[2:], os.Stdout, os.Stderr))
 	case "diff":
 		fs := flag.NewFlagSet("diff", flag.ExitOnError)
 		outFile := fs.String("o", "", "write the diff listing to this file instead of stdout")
@@ -142,7 +143,7 @@ func report(w io.Writer, t *obsfile.Trace, top int) {
 				obsfile.FormatUS(p.TotalUS), obsfile.FormatUS(p.SelfUS),
 			})
 		}
-		writeTable(w, rows)
+		obs.WriteTable(w, rows)
 	}
 
 	for _, ranking := range []struct{ by, title string }{
@@ -177,7 +178,7 @@ func report(w io.Writer, t *obsfile.Trace, top int) {
 				flops, attrNote(s),
 			})
 		}
-		writeTable(w, rows)
+		obs.WriteTable(w, rows)
 	}
 
 	steps, total := t.CriticalPath()
@@ -199,7 +200,7 @@ func report(w io.Writer, t *obsfile.Trace, top int) {
 				obsfile.FormatUS(st.SlackUS),
 			})
 		}
-		writeTable(w, rows)
+		obs.WriteTable(w, rows)
 	}
 
 	ranks := t.RankTable()
@@ -247,7 +248,7 @@ func report(w io.Writer, t *obsfile.Trace, top int) {
 					fmt.Sprintf("%.6f", tot.TotalS), fmt.Sprintf("%.1f", util),
 				})
 			}
-			writeTable(w, rows)
+			obs.WriteTable(w, rows)
 		}
 	}
 
@@ -257,7 +258,7 @@ func report(w io.Writer, t *obsfile.Trace, top int) {
 		for _, c := range colls {
 			rows = append(rows, []string{c.Op, fmt.Sprintf("%.6f", c.ModeledSeconds)})
 		}
-		writeTable(w, rows)
+		obs.WriteTable(w, rows)
 	}
 
 	if len(t.Metrics) > 0 {
@@ -275,7 +276,7 @@ func report(w io.Writer, t *obsfile.Trace, top int) {
 			}
 			rows = append(rows, []string{n, fmt.Sprintf("%g", t.Metrics[n]), det})
 		}
-		writeTable(w, rows)
+		obs.WriteTable(w, rows)
 	}
 }
 
@@ -301,32 +302,6 @@ func attrNote(s *obsfile.Span) string {
 		return "-"
 	}
 	return strings.Join(parts, " ")
-}
-
-// writeTable prints rows[0] as a header with aligned columns.
-func writeTable(w io.Writer, rows [][]string) {
-	widths := make([]int, len(rows[0]))
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for ri, r := range rows {
-		parts := make([]string, len(r))
-		for i, c := range r {
-			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
-		if ri == 0 {
-			seps := make([]string, len(r))
-			for i := range seps {
-				seps[i] = strings.Repeat("-", widths[i])
-			}
-			fmt.Fprintln(w, strings.Join(seps, "  "))
-		}
-	}
 }
 
 func fatal(err error) {

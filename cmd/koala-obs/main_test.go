@@ -57,13 +57,13 @@ func TestReportRanksSpansByFlops(t *testing.T) {
 }
 
 // TestReportFlopsFromInstrumentedEngine traces real contractions through
-// the instrumented engine and requires each einsum span's flops to be
+// the bare dense engine and requires each einsum span's flops to be
 // exactly the GEMM flops of its own shapes, so the report's flops
 // ranking follows contraction size.
 func TestReportFlopsFromInstrumentedEngine(t *testing.T) {
 	var log bytes.Buffer
 	obs.Enable(obs.NewJSONLSink(&log))
-	eng := backend.Instrument(backend.NewDense())
+	eng := backend.NewDense()
 	eng.Einsum("ij,jk->ik", tensor.New(2, 3), tensor.New(3, 4))
 	eng.Einsum("ij,jk->ik", tensor.New(8, 16), tensor.New(16, 4))
 	eng.Einsum("ij,jk->ik", tensor.New(4, 4), tensor.New(4, 4))

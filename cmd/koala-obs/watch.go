@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,7 +34,9 @@ type watchSnapshot struct {
 	Events  []telemetry.Event      `json:"events,omitempty"`
 }
 
-func runWatch(args []string) int {
+// runWatch runs the watch command with its flags in args, writing
+// snapshots to stdout and errors to stderr; it returns the exit code.
+func runWatch(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	interval := fs.Duration("interval", 2*time.Second, "refresh period")
 	once := fs.Bool("once", false, "take one snapshot and exit (nonzero on unreachable or malformed exposition)")
@@ -55,15 +56,15 @@ func runWatch(args []string) int {
 	if *once {
 		snap, err := fetchSnapshot(client, base)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "koala-obs: watch:", err)
+			fmt.Fprintln(stderr, "koala-obs: watch:", err)
 			return 1
 		}
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
+			enc := json.NewEncoder(stdout)
 			enc.SetIndent("", "  ")
 			enc.Encode(snap)
 		} else {
-			render(os.Stdout, snap, false)
+			render(stdout, snap, false)
 		}
 		return 0
 	}
@@ -73,13 +74,13 @@ func runWatch(args []string) int {
 	for {
 		snap, err := fetchSnapshot(client, base)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "koala-obs: watch:", err)
+			fmt.Fprintln(stderr, "koala-obs: watch:", err)
 		} else {
 			snap.Events = tail.snapshot()
 			if *jsonOut {
-				json.NewEncoder(os.Stdout).Encode(snap)
+				json.NewEncoder(stdout).Encode(snap)
 			} else {
-				render(os.Stdout, snap, true)
+				render(stdout, snap, true)
 			}
 		}
 		time.Sleep(*interval)

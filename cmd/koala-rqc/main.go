@@ -42,7 +42,7 @@ func main() {
 	if err := cliutil.ApplyKernel(*kernel); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := oc.Setup(); err != nil {
+	if _, err := oc.Setup(false); err != nil {
 		log.Fatal(err)
 	}
 	tel, err := cliutil.StartTelemetry(*listen, "rqc", map[string]string{
@@ -74,13 +74,12 @@ func main() {
 	// SPMD dist engine on a modeled grid of that many ranks. The grid
 	// summary goes to stderr, so stdout stays byte-comparable with the
 	// dense engine's.
-	eng := backend.Instrument(backend.NewDense())
+	var eng backend.Engine = backend.NewDense()
 	var grid *dist.Grid
 	if *ranks > 0 {
 		grid = dist.NewGrid(dist.Stampede2(*ranks))
-		deng := &backend.Dist{Grid: grid, UseGram: true, LocalSVD: true}
-		eng = backend.Instrument(deng)
-		fmt.Printf("engine: %s, ranks: %d\n", deng.Name(), *ranks)
+		eng = &backend.Dist{Grid: grid, UseGram: true, LocalSVD: true}
+		fmt.Printf("engine: %s, ranks: %d\n", eng.Name(), *ranks)
 	}
 	state := peps.ComputationalZeros(eng, *n, *n)
 	applied := rqc.Apply(state, circ, peps.UpdateOptions{Rank: *evolveRank, Method: peps.UpdateQR},

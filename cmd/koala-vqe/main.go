@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"os"
 
-	"gokoala/internal/backend"
 	"gokoala/internal/checkpoint"
 	"gokoala/internal/cliutil"
 	"gokoala/internal/quantum"
@@ -48,7 +47,7 @@ func main() {
 	if err := ck.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := oc.Setup(); err != nil {
+	if _, err := oc.Setup(false); err != nil {
 		log.Fatal(err)
 	}
 	tel, err := cliutil.StartTelemetry(*listen, "vqe", map[string]string{
@@ -100,7 +99,6 @@ func main() {
 		MaxIter:         *iters,
 		Restarts:        *restarts,
 		Seed:            *seed,
-		Engine:          backend.Instrument(backend.NewDense()),
 		UseCache:        true,
 		CheckpointPath:  *ck.Path,
 		CheckpointEvery: *ck.Every,

@@ -53,30 +53,18 @@ const bytesPerElem = 16
 // ScaLAPACK-style distributed SVD, which scales far worse than GEMM.
 const svdEffRanks = 16
 
-func (d *Dist) hooks() einsum.Hooks {
-	return einsum.Hooks{
+func (d *Dist) Einsum(spec string, ops ...*tensor.Dense) *tensor.Dense {
+	return contract(spec, ops, einsum.Hooks{
 		OnMove: func(elements int) {
 			d.Grid.AllToAll(int64(elements) * bytesPerElem)
 		},
 		GEMM: d.Grid.BatchMatMul,
-	}
-}
-
-// Hooks exposes the einsum hooks that route a contraction's primitives
-// through the grid, so decorators (backend.Instrument) can chain their
-// own observers onto the same contraction.
-func (d *Dist) Hooks() einsum.Hooks { return d.hooks() }
-
-func (d *Dist) Einsum(spec string, ops ...*tensor.Dense) *tensor.Dense {
-	out, err := einsum.ContractWithHooks(spec, ops, d.hooks())
-	if err != nil {
-		panic("backend: " + err.Error())
-	}
-	return out
+	}, d.Grid, "")
 }
 
 // QRSplit factors a tensor with the first leftAxes axes as rows.
 func (d *Dist) QRSplit(t *tensor.Dense, leftAxes int) (*tensor.Dense, *tensor.Dense) {
+	sp := startSpan("backend.qrsplit", d.Grid)
 	shape := t.Shape()
 	rows, cols := 1, 1
 	for i, dim := range shape {
@@ -122,7 +110,10 @@ func (d *Dist) QRSplit(t *tensor.Dense, leftAxes int) (*tensor.Dense, *tensor.De
 	k := qm.Dim(1)
 	qShape := append(append([]int{}, shape[:leftAxes]...), k)
 	rShape := append([]int{k}, shape[leftAxes:]...)
-	return qm.Reshape(qShape...), rm.Reshape(rShape...)
+	q, r := qm.Reshape(qShape...), rm.Reshape(rShape...)
+	sp.end()
+	checkFactorization("backend.qrsplit", q, r, nil)
+	return q, r
 }
 
 // chargeGramFactors accounts the single-rank work of linalg.GramFactors
@@ -139,39 +130,51 @@ func (d *Dist) chargeGramFactors(n int) {
 // reshape to the factorization layout plus a factorization whose
 // scalability saturates at svdEffRanks.
 func (d *Dist) TruncSVD(m *tensor.Dense, rank int) (*tensor.Dense, []float64, *tensor.Dense) {
+	sp := startSpan("backend.truncsvd", d.Grid)
+	var u, v *tensor.Dense
+	var s []float64
 	if d.LocalSVD {
 		// Small-matrix path: compute on one rank and broadcast the
 		// factors; no distributed reshape.
-		u, s, v := linalg.TruncatedSVD(m, rank)
+		u, s, v = linalg.TruncatedSVD(m, rank)
 		d.Grid.ChargeFlops(linalg.SVDFlops(m.Dim(0), m.Dim(1)), 1)
 		d.Grid.Bcast(int64(u.Size()+v.Size()) * bytesPerElem)
-		return u, s, v
+	} else {
+		d.Grid.AllToAll(int64(m.Size()) * bytesPerElem)
+		u, s, v = linalg.TruncatedSVD(m, rank)
+		d.Grid.ChargeFlops(linalg.SVDFlops(m.Dim(0), m.Dim(1)), svdEffRanks)
+		d.Grid.AllToAll(int64(u.Size()+v.Size()) * bytesPerElem)
 	}
-	d.Grid.AllToAll(int64(m.Size()) * bytesPerElem)
-	u, s, v := linalg.TruncatedSVD(m, rank)
-	d.Grid.ChargeFlops(linalg.SVDFlops(m.Dim(0), m.Dim(1)), svdEffRanks)
-	d.Grid.AllToAll(int64(u.Size()+v.Size()) * bytesPerElem)
+	sp.endSVD(m, s)
+	checkFactorization("backend.truncsvd", u, v, s)
 	return u, s, v
 }
 
 // Orth orthonormalizes a tall block vector for randomized SVD iterations.
 func (d *Dist) Orth(x *tensor.Dense) *tensor.Dense {
+	sp := startSpan("backend.orth", d.Grid)
+	var q *tensor.Dense
 	if d.UseGram {
 		g := d.Grid.GramMatrix(x)
 		_, p, ok := linalg.GramFactors(g)
 		d.chargeGramFactors(x.Dim(1))
 		if ok {
 			d.Grid.Bcast(int64(p.Size()) * bytesPerElem)
-			return d.Grid.MatMul(x, p)
+			q = d.Grid.MatMul(x, p)
+		} else {
+			// Ill-conditioned block vector: degrade to the direct QR
+			// path below (see QRSplit for the rationale).
+			health.CountGramFallback()
 		}
-		// Ill-conditioned block vector: degrade to the direct QR path
-		// below (see QRSplit for the rationale).
-		health.CountGramFallback()
 	}
-	d.Grid.AllToAll(int64(x.Size()) * bytesPerElem)
-	d.Grid.Gather(int64(x.Size()) * bytesPerElem)
-	q := linalg.OrthQR(x)
-	d.Grid.ChargeFlops(linalg.QRFlops(x.Dim(0), x.Dim(1)), svdEffRanks)
-	d.Grid.Gather(int64(q.Size()) * bytesPerElem)
+	if q == nil {
+		d.Grid.AllToAll(int64(x.Size()) * bytesPerElem)
+		d.Grid.Gather(int64(x.Size()) * bytesPerElem)
+		q = linalg.OrthQR(x)
+		d.Grid.ChargeFlops(linalg.QRFlops(x.Dim(0), x.Dim(1)), svdEffRanks)
+		d.Grid.Gather(int64(q.Size()) * bytesPerElem)
+	}
+	sp.end()
+	health.CheckTensor("backend.orth", q)
 	return q
 }

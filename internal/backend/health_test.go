@@ -97,7 +97,7 @@ func TestInstrumentedEinsumDetectsInjectedNaNExactlyOnce(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 
-	eng := Instrument(NewDense())
+	eng := NewDense()
 	rng := rand.New(rand.NewSource(34))
 	a := tensor.Rand(rng, 4, 4)
 	b := tensor.Rand(rng, 4, 4)
@@ -131,7 +131,7 @@ func TestInstrumentedEinsumErrorPolicyPanics(t *testing.T) {
 	health.ResetCounters()
 	health.SetPolicy(health.PolicyError)
 
-	eng := Instrument(NewDense())
+	eng := NewDense()
 	rng := rand.New(rand.NewSource(36))
 	a := tensor.Rand(rng, 3, 3)
 	health.NewInjector(37).FlipNaN(a)

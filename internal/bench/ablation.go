@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"gokoala/internal/backend"
 	"gokoala/internal/einsumsvd"
 	"gokoala/internal/ite"
 	"gokoala/internal/linalg"
@@ -31,7 +32,7 @@ func ExperimentAblationRSVD(w io.Writer, cfg AblationConfig) {
 	fmt.Fprintln(w, "Ablation: randomized SVD parameters (NIter x Oversample)")
 	fmt.Fprintln(w, "task: rank-8 truncation of a 64x64 matrix with spectrum 0.8^i")
 	fmt.Fprintln(w)
-	eng := denseEngine()
+	eng := backend.NewDense()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Build A = U diag(0.8^i) V* with Haar-ish factors.
 	const n, rank = 64, 8
@@ -82,7 +83,7 @@ func ExperimentAblationRSVD(w io.Writer, cfg AblationConfig) {
 func ExperimentAblationUpdate(w io.Writer, cfg AblationConfig) {
 	fmt.Fprintln(w, "Ablation: two-site update algorithm (paper Algorithm 1 vs direct)")
 	fmt.Fprintln(w)
-	eng := denseEngine()
+	eng := backend.NewDense()
 	gate := quantum.ISwap()
 	bonds := []int{2, 4, 6, 8, 10}
 	t := NewTable("r", "method", "flops_per_update")
@@ -95,7 +96,7 @@ func ExperimentAblationUpdate(w io.Writer, cfg AblationConfig) {
 			rng := rand.New(rand.NewSource(cfg.Seed))
 			state := peps.Random(eng, rng, 3, 3, 2, r)
 			opts := peps.UpdateOptions{Rank: r, Method: method.m}
-			fl := flopsOf(func() {
+			fl := FlopsOf(func() {
 				state.ApplyTwoSite(gate, state.SiteIndex(1, 0), state.SiteIndex(1, 1), opts)
 			})
 			t.Add(r, method.name, fmt.Sprintf("%d", fl))
@@ -123,7 +124,7 @@ func ExperimentAblationWeighted(w io.Writer, cfg AblationConfig) {
 	fmt.Fprintln(w, "Ablation: plain vs lambda-weighted simple update (2x2 J1-J2 ITE, 150 steps)")
 	fmt.Fprintln(w)
 	obs := quantum.J1J2Heisenberg(2, 2, quantum.PaperJ1J2Params())
-	eng := denseEngine()
+	eng := backend.NewDense()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	exactE, _ := statevector.GroundState(obs, 4, rng)
 	exact := exactE / 4
@@ -155,7 +156,7 @@ func ExperimentAblationCanonical(w io.Writer, cfg AblationConfig) {
 	fmt.Fprintln(w, "Ablation: einsumsvd sigma placement in truncated gate updates")
 	fmt.Fprintln(w)
 	obs := quantum.TransverseFieldIsing(2, 2, -1, -3.5)
-	eng := denseEngine()
+	eng := backend.NewDense()
 	t := NewTable("sigma_mode", "final_energy_per_site")
 	for _, mode := range []struct {
 		name string

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"gokoala/internal/backend"
 	"gokoala/internal/ite"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
@@ -42,7 +43,7 @@ func ExperimentFig13a(w io.Writer, cfg Fig13Config) {
 	for s := cfg.MeasureEvery; s <= cfg.Steps; s += cfg.MeasureEvery {
 		t.Add("state-vector", s, svTrace[s-1]/float64(n))
 	}
-	eng := denseEngine()
+	eng := backend.NewDense()
 	for _, r := range cfg.Bonds {
 		for _, mMode := range []string{"m=r^2", "m=r"} {
 			m := r * r
@@ -81,7 +82,7 @@ func ExperimentFig13b(w io.Writer, cfg Fig13Config) {
 	exactE, _ := statevector.GroundState(obs, n, rng)
 	svTrace := statevector.ITE(obs, n, cfg.Tau, cfg.Steps)
 
-	eng := denseEngine()
+	eng := backend.NewDense()
 	t := NewTable("r", "m_mode", "energy_per_site", "gap_to_exact")
 	t.Add(0, "exact-ground", exactE/float64(n), 0.0)
 	t.Add(0, "state-vector-ite", svTrace[cfg.Steps-1]/float64(n), svTrace[cfg.Steps-1]/float64(n)-exactE/float64(n))

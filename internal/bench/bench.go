@@ -15,12 +15,12 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"strings"
 	"time"
 
 	"gokoala/internal/backend"
 	"gokoala/internal/dist"
 	"gokoala/internal/einsumsvd"
+	"gokoala/internal/obs"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/tensor"
@@ -62,44 +62,18 @@ func formatFloat(v float64) string {
 
 // Print writes the table to w.
 func (t *Table) Print(w io.Writer) {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
-	}
-	line(t.Header)
-	sep := make([]string, len(t.Header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	line(sep)
-	for _, r := range t.Rows {
-		line(r)
-	}
+	obs.WriteTable(w, append([][]string{t.Header}, t.Rows...))
 }
 
-// timeIt returns the wall-clock seconds of f.
-func timeIt(f func()) float64 {
+// TimeIt returns the wall-clock seconds of f.
+func TimeIt(f func()) float64 {
 	start := time.Now()
 	f()
 	return time.Since(start).Seconds()
 }
 
-// flopsOf returns the complex-flop count of f.
-func flopsOf(f func()) int64 {
+// FlopsOf returns the complex-flop count of f.
+func FlopsOf(f func()) int64 {
 	before := tensor.FlopCount()
 	f()
 	return tensor.FlopCount() - before
@@ -150,25 +124,19 @@ func evolutionWorkload(eng backend.Engine, seed int64, n, bond int, opts peps.Up
 	return func() { tebdLayer(state.Clone(), gate, opts) }
 }
 
-// denseEngine returns the sequential engine wrapped with obs
-// instrumentation (a no-op passthrough while tracing is off), so every
-// experiment feeds spans and counters when cmd/koala-bench enables
-// collection.
-func denseEngine() backend.Engine { return backend.Instrument(backend.NewDense()) }
-
 // engineSet returns the named engines of the evolution benchmarks
 // (paper Figure 7): the dense (NumPy-analog) engine and the three
 // Cyclops-analog variants, each with its own grid so modeled costs are
-// attributable. All engines carry obs instrumentation.
+// attributable.
 func engineSet(ranks int) (map[string]backend.Engine, map[string]*dist.Grid) {
 	g1 := dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-qr-svd")
 	g2 := dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-local-gram-qr")
 	g3 := dist.NewGrid(dist.Stampede2(ranks)).SetLabel("dist-local-gram-qr-svd")
 	engines := map[string]backend.Engine{
-		"dense-qr-svd":           denseEngine(),
-		"dist-qr-svd":            backend.Instrument(backend.NewDist(g1, false)),
-		"dist-local-gram-qr":     backend.Instrument(backend.NewDist(g2, true)),
-		"dist-local-gram-qr-svd": backend.Instrument(&backend.Dist{Grid: g3, UseGram: true, LocalSVD: true}),
+		"dense-qr-svd":           backend.NewDense(),
+		"dist-qr-svd":            backend.NewDist(g1, false),
+		"dist-local-gram-qr":     backend.NewDist(g2, true),
+		"dist-local-gram-qr-svd": &backend.Dist{Grid: g3, UseGram: true, LocalSVD: true},
 	}
 	grids := map[string]*dist.Grid{
 		"dist-qr-svd":            g1,

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"gokoala/internal/backend"
 	"gokoala/internal/peps"
 	"gokoala/internal/rqc"
 )
@@ -35,7 +36,7 @@ func DefaultFig10Config() Fig10Config {
 func ExperimentFig10(w io.Writer, cfg Fig10Config) {
 	fmt.Fprintf(w, "Figure 10: RQC amplitude relative error, %d layers (initial bond %d)\n\n",
 		cfg.Layers, initialBond(cfg.Layers))
-	eng := denseEngine()
+	eng := backend.NewDense()
 	t := NewTable("n", "m", "err_bmps", "err_ibmps")
 	for _, n := range cfg.Sides {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))

@@ -58,7 +58,7 @@ func ExperimentFig7(w io.Writer, cfg Fig7Config, denseToo bool) {
 			if grid != nil {
 				grid.Reset()
 			}
-			wall := timeIt(work)
+			wall := TimeIt(work)
 			if grid != nil {
 				s := grid.Snapshot()
 				t.Add(r, name, wall, s.ModeledSeconds(), fmt.Sprintf("%d", s.Bytes), fmt.Sprintf("%d", s.Redistributions))

@@ -53,9 +53,9 @@ func ExperimentFig8(w io.Writer, cfg Fig8Config, dense bool) {
 		grid := dist.NewGrid(dist.Stampede2(cfg.Ranks)).SetLabel("dist-gram")
 		rows := []engineRow{}
 		if dense {
-			rows = append(rows, engineRow{"dense", denseEngine(), nil})
+			rows = append(rows, engineRow{"dense", backend.NewDense(), nil})
 		}
-		rows = append(rows, engineRow{"dist-gram", backend.Instrument(backend.NewDist(grid, true)), grid})
+		rows = append(rows, engineRow{"dist-gram", backend.NewDist(grid, true), grid})
 		return rows
 	}
 
@@ -79,7 +79,7 @@ func ExperimentFig8(w io.Writer, cfg Fig8Config, dense bool) {
 				if er.grid != nil {
 					er.grid.Reset()
 				}
-				wall := timeIt(func() { net.ContractScalar(a.opt) })
+				wall := TimeIt(func() { net.ContractScalar(a.opt) })
 				modeled := wall
 				if er.grid != nil {
 					modeled = er.grid.Snapshot().ModeledSeconds()
@@ -95,7 +95,7 @@ func ExperimentFig8(w io.Writer, cfg Fig8Config, dense bool) {
 				if er.grid != nil {
 					er.grid.Reset()
 				}
-				wall := timeIt(func() {
+				wall := TimeIt(func() {
 					state.Inner(state, peps.TwoLayerBMPS{M: r, Strategy: implicitStrategy(cfg.Seed + int64(r) + 7)})
 				})
 				modeled := wall

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"gokoala/internal/backend"
 	"gokoala/internal/peps"
 	"gokoala/internal/quantum"
 	"gokoala/internal/tensor"
@@ -53,17 +54,17 @@ func fullNeighborObservable(n int) *quantum.Observable {
 // strip contraction.
 func ExperimentFig9(w io.Writer, cfg Fig9Config) {
 	fmt.Fprintf(w, "Figure 9: expectation value with/without caching, bond %d, m=%d\n\n", cfg.Bond, cfg.M)
-	eng := denseEngine()
+	eng := backend.NewDense()
 	t := NewTable("side", "terms", "cached_s", "uncached_s", "speedup")
 	for _, n := range cfg.Sides {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		state := peps.Random(eng, rng, n, n, 2, cfg.Bond)
 		obs := fullNeighborObservable(n)
 		var vc, vd complex128
-		cached := timeIt(func() {
+		cached := TimeIt(func() {
 			vc = state.Expectation(obs, peps.ExpectationOptions{M: cfg.M, Strategy: implicitStrategy(cfg.Seed + int64(n)), UseCache: true})
 		})
-		uncached := timeIt(func() {
+		uncached := TimeIt(func() {
 			vd = state.Expectation(obs, peps.ExpectationOptions{M: cfg.M, Strategy: implicitStrategy(cfg.Seed + int64(n)), UseCache: false})
 		})
 		_ = vc

@@ -34,7 +34,7 @@ func DefaultFig11Config() Fig11Config {
 // returns the modeled seconds of the metered SPMD execution.
 func runOnGrid(ranks int, useGram bool, work func(eng backend.Engine)) dist.Stats {
 	grid := dist.NewGrid(dist.Stampede2(ranks)).SetLabel(fmt.Sprintf("ranks-%d", ranks))
-	eng := backend.Instrument(backend.NewDist(grid, useGram))
+	eng := backend.NewDist(grid, useGram)
 	work(eng)
 	return grid.Snapshot()
 }

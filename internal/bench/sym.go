@@ -96,7 +96,7 @@ func densePEPSBytes(p *peps.PEPS) int64 {
 // same Trotter schedule, then prints the flop, wall-clock, and memory
 // comparison plus a per-model acceptance verdict.
 func ExperimentSym(w io.Writer, cfg SymConfig) {
-	eng := denseEngine()
+	eng := backend.NewDense()
 	se, ok := backend.SymOf(eng)
 	if !ok {
 		panic("bench: dense engine must expose block-sparse kernels")
@@ -135,8 +135,8 @@ func ExperimentSym(w io.Writer, cfg SymConfig) {
 
 		dstate := peps.SymComputationalBasis(se, m.mod, m.rows, m.cols, m.bits).ToDense()
 		var dres ite.Result
-		r.DenseFlops = flopsOf(func() {
-			r.DenseWallSeconds = timeIt(func() { dres = ite.Evolve(dstate, m.obs, opts) })
+		r.DenseFlops = FlopsOf(func() {
+			r.DenseWallSeconds = TimeIt(func() { dres = ite.Evolve(dstate, m.obs, opts) })
 		})
 		r.DenseStateBytes = densePEPSBytes(dres.Final)
 		r.EnergyDense = dres.Energies[len(dres.Energies)-1]
@@ -144,8 +144,8 @@ func ExperimentSym(w io.Writer, cfg SymConfig) {
 		sstate := peps.SymComputationalBasis(se, m.mod, m.rows, m.cols, m.bits)
 		_, _, f0, d0 := einsum.SymStats()
 		var sres ite.Result
-		r.SymFlops = flopsOf(func() {
-			r.SymWallSeconds = timeIt(func() { sres = ite.EvolveSym(sstate, m.obs, opts) })
+		r.SymFlops = FlopsOf(func() {
+			r.SymWallSeconds = TimeIt(func() { sres = ite.EvolveSym(sstate, m.obs, opts) })
 		})
 		_, _, f1, d1 := einsum.SymStats()
 		if sres.FellBack {

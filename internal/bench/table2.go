@@ -5,6 +5,7 @@ import (
 	"io"
 	"math/rand"
 
+	"gokoala/internal/backend"
 	"gokoala/internal/peps"
 )
 
@@ -33,7 +34,7 @@ func DefaultTable2Config() Table2Config {
 // terms, and the BMPS/IBMPS flop ratios that quantify the asymptotic
 // advantage.
 func ExperimentTable2(w io.Writer, cfg Table2Config) {
-	eng := denseEngine()
+	eng := backend.NewDense()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	methods := []struct {
@@ -59,7 +60,7 @@ func ExperimentTable2(w io.Writer, cfg Table2Config) {
 	flopsByMethodM := map[string][]float64{}
 	for _, m := range cfg.Ms {
 		for _, meth := range methods {
-			fl := flopsOf(func() { meth.run(state, m, cfg.Seed+int64(m)) })
+			fl := FlopsOf(func() { meth.run(state, m, cfg.Seed+int64(m)) })
 			tm.Add(meth.name, cfg.FixB, m, fmt.Sprintf("%d", fl))
 			flopsByMethodM[meth.name] = append(flopsByMethodM[meth.name], float64(fl))
 		}
@@ -87,7 +88,7 @@ func ExperimentTable2(w io.Writer, cfg Table2Config) {
 		fls := make([]float64, len(methods))
 		var ibmpsFl float64
 		for i, meth := range methods {
-			fls[i] = float64(flopsOf(func() { meth.run(state, m, cfg.Seed+int64(b)) }))
+			fls[i] = float64(FlopsOf(func() { meth.run(state, m, cfg.Seed+int64(b)) }))
 			if meth.name == "ibmps" {
 				ibmpsFl = fls[i]
 			}

@@ -157,29 +157,18 @@ func ApplyHealth(s string) error {
 // WriteHealthCounters prints the always-on numerical-health counters to w
 // when any of them fired; silent on a clean run.
 func WriteHealthCounters(w io.Writer) {
-	counters := []struct {
-		name string
-		n    int64
-	}{
-		{"nan_detected", health.NaNDetected()},
-		{"svd_fallbacks", health.SVDFallbacks()},
-		{"gram_fallbacks", health.GramFallbacks()},
-		{"nonconverged", health.Nonconverged()},
-		{"checkpoint_failures", health.CheckpointFailures()},
+	counts := health.Counts()
+	fired := false
+	for _, c := range counts {
+		fired = fired || c.Value != 0
 	}
-	any := false
-	for _, c := range counters {
-		if c.n != 0 {
-			any = true
-		}
-	}
-	if !any {
+	if !fired {
 		return
 	}
 	fmt.Fprintln(w, "\n-- numerical health --")
-	for _, c := range counters {
-		if c.n != 0 {
-			fmt.Fprintf(w, "health.%s: %d\n", c.name, c.n)
+	for _, c := range counts {
+		if c.Value != 0 {
+			fmt.Fprintf(w, "health.%s: %d\n", c.Name, c.Value)
 		}
 	}
 }
@@ -239,9 +228,11 @@ func ObsFlags() *ObsConfig {
 	}
 }
 
-// Setup enables span collection when either flag was given. Call once
-// after flag.Parse; returns whether collection is on.
-func (c *ObsConfig) Setup() (bool, error) {
+// Setup enables span collection when either flag was given, or when
+// collect is set (then with zero sinks if neither was: counters and the
+// phase summary only). Call once after flag.Parse; returns whether
+// collection is on.
+func (c *ObsConfig) Setup(collect bool) (bool, error) {
 	if *c.trace != "" && *c.trace == *c.metrics {
 		return false, fmt.Errorf("-trace and -metrics must name different files")
 	}
@@ -262,7 +253,7 @@ func (c *ObsConfig) Setup() (bool, error) {
 		c.files = append(c.files, f)
 		sinks = append(sinks, obs.NewJSONLSink(f))
 	}
-	if len(sinks) > 0 {
+	if len(sinks) > 0 || collect {
 		obs.Enable(sinks...)
 		c.on = true
 	}

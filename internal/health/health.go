@@ -117,13 +117,39 @@ var (
 	cntSymFallback  atomic.Int64
 )
 
+// counters is the one ordered list of the counters; every reader that
+// lists them all (obs, /healthz, the CLIs' health block) walks it.
+var counters = [...]struct {
+	name string
+	v    *atomic.Int64
+}{
+	{"nan_detected", &cntNaN},
+	{"svd_fallbacks", &cntSVDFallback},
+	{"gram_fallbacks", &cntGramFallback},
+	{"nonconverged", &cntNonconverged},
+	{"checkpoint_failures", &cntCkptFailure},
+	{"sym_fallbacks", &cntSymFallback},
+}
+
 func init() {
-	obs.CounterFunc("health.nan_detected", NaNDetected)
-	obs.CounterFunc("health.svd_fallbacks", SVDFallbacks)
-	obs.CounterFunc("health.gram_fallbacks", GramFallbacks)
-	obs.CounterFunc("health.nonconverged", Nonconverged)
-	obs.CounterFunc("health.checkpoint_failures", CheckpointFailures)
-	obs.CounterFunc("health.sym_fallbacks", SymFallbacks)
+	for _, c := range counters {
+		obs.CounterFunc("health."+c.name, c.v.Load)
+	}
+}
+
+// Count is one counter's value, named without the "health." prefix.
+type Count struct {
+	Name  string
+	Value int64
+}
+
+// Counts snapshots every counter, in a fixed order.
+func Counts() []Count {
+	out := make([]Count, len(counters))
+	for i, c := range counters {
+		out[i] = Count{c.name, c.v.Load()}
+	}
+	return out
 }
 
 // NaNDetected returns how many guard scans found a non-finite value.
@@ -148,12 +174,9 @@ func CheckpointFailures() int64 { return cntCkptFailure.Load() }
 // ResetCounters zeroes the package-local counters; tests use this to
 // assert "exactly once" semantics.
 func ResetCounters() {
-	cntNaN.Store(0)
-	cntSVDFallback.Store(0)
-	cntGramFallback.Store(0)
-	cntNonconverged.Store(0)
-	cntCkptFailure.Store(0)
-	cntSymFallback.Store(0)
+	for _, c := range counters {
+		c.v.Store(0)
+	}
 }
 
 // CountSVDFallback records one randomized-SVD → exact-SVD degradation.

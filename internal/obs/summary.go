@@ -31,8 +31,7 @@ func WriteSummary(w io.Writer) {
 	}
 	sort.Strings(keys)
 
-	header := append([]string{"phase", "count", "total_s", "self_s"}, keys...)
-	rows := make([][]string, 0, len(stats))
+	rows := [][]string{append([]string{"phase", "count", "total_s", "self_s"}, keys...)}
 	for _, s := range stats {
 		row := []string{
 			s.Name,
@@ -49,14 +48,21 @@ func WriteSummary(w io.Writer) {
 		}
 		rows = append(rows, row)
 	}
-
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
+	WriteTable(w, rows)
+	if p := PeakBytes(); p > 0 {
+		fmt.Fprintf(w, "peak scratch bytes: %d\n", p)
 	}
+}
+
+// WriteTable prints rows[0] as a header, a rule under it, and the other
+// rows, each column left-aligned to its widest cell, two spaces apart,
+// with trailing blanks trimmed. Every text table the tools print goes
+// through it.
+func WriteTable(w io.Writer, rows [][]string) {
+	widths := make([]int, len(rows[0]))
 	for _, r := range rows {
 		for i, c := range r {
-			if len(c) > widths[i] {
+			if i < len(widths) && len(c) > widths[i] {
 				widths[i] = len(c)
 			}
 		}
@@ -68,17 +74,14 @@ func WriteSummary(w io.Writer) {
 		}
 		fmt.Fprintln(w, strings.TrimRight(strings.Join(parts, "  "), " "))
 	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	line(rows[0])
+	rule := make([]string, len(widths))
+	for i := range rule {
+		rule[i] = strings.Repeat("-", widths[i])
 	}
-	line(sep)
-	for _, r := range rows {
+	line(rule)
+	for _, r := range rows[1:] {
 		line(r)
-	}
-	if p := PeakBytes(); p > 0 {
-		fmt.Fprintf(w, "peak scratch bytes: %d\n", p)
 	}
 }
 

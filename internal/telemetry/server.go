@@ -45,15 +45,12 @@ type HealthStatus struct {
 // detection or solver non-convergence has been counted.
 func CurrentHealth() HealthStatus {
 	st := HealthStatus{
-		Status: "ok",
-		Policy: health.CurrentPolicy().String(),
-		Counters: map[string]int64{
-			"nan_detected":        health.NaNDetected(),
-			"svd_fallbacks":       health.SVDFallbacks(),
-			"gram_fallbacks":      health.GramFallbacks(),
-			"nonconverged":        health.Nonconverged(),
-			"checkpoint_failures": health.CheckpointFailures(),
-		},
+		Status:   "ok",
+		Policy:   health.CurrentPolicy().String(),
+		Counters: map[string]int64{},
+	}
+	for _, c := range health.Counts() {
+		st.Counters[c.Name] = c.Value
 	}
 	if st.Counters["nan_detected"] > 0 || st.Counters["nonconverged"] > 0 {
 		st.Status = "degraded"
